@@ -969,6 +969,73 @@ mod tests {
         }
     }
 
+    /// Builds every replica of `topology` with `config` and binds its
+    /// router.
+    fn routed_services(
+        topology: &FleetTopology,
+        config: crate::ServiceConfig,
+    ) -> (Vec<crate::PirService>, PirRouter) {
+        let services = (0..topology.replicas.len())
+            .map(|index| crate::build_service_with(topology, index, config).unwrap())
+            .collect();
+        (services, PirRouter::bind(topology).unwrap())
+    }
+
+    #[test]
+    fn a_rejected_query_reaches_the_client_typed_and_the_replica_stays_healthy() {
+        let topology = routed_fleet(2);
+        let (services, router) = routed_services(&topology, crate::service_config_for(&topology));
+        let mut transport = TcpTransport::connect(router.addr()).unwrap();
+
+        // Keys for a far larger domain than the replicas serve.
+        let mut wrong = PirClient::new(1 << 20, 8, 1).unwrap();
+        let (bad, _) = wrong.generate_batch(&[5]).unwrap();
+        match transport.query_batch(&bad) {
+            Err(PirError::Protocol { reason }) => assert!(
+                reason.contains("query key covers a 20-bit domain"),
+                "the replica's reason must reach the client: {reason}"
+            ),
+            other => panic!("expected a typed protocol error, got {other:?}"),
+        }
+        // A rejection is not a fault: no replica is condemned, and the
+        // same session's next query answers.
+        assert!(router.replica_traffic().iter().all(|t| t.healthy));
+        let mut oracle = LocalTransport::new(topology.build_engine(0).unwrap());
+        let mut client = PirClient::new(192, 8, 5).unwrap();
+        let (shares, _) = client.generate_batch(&[3, 150]).unwrap();
+        assert_eq!(
+            transport.query_batch(&shares).unwrap().responses,
+            oracle.query_batch(&shares).unwrap().responses
+        );
+        drop(transport);
+        router.shutdown();
+        services.into_iter().for_each(crate::PirService::shutdown);
+    }
+
+    #[test]
+    fn chunked_replays_cross_the_router_complete_and_in_order() {
+        let topology = routed_fleet(2);
+        // 64 bytes hold two single-record batches per replay frame, so a
+        // five-batch replay spans several replica round trips.
+        let config = crate::ServiceConfig {
+            max_replay_frame_bytes: 64,
+            ..crate::service_config_for(&topology)
+        };
+        let (services, router) = routed_services(&topology, config);
+        let mut transport = TcpTransport::connect(router.addr()).unwrap();
+        let mut expected = Vec::new();
+        for round in 0..5u8 {
+            let batch = vec![(u64::from(round), vec![round; 8])];
+            transport.apply_updates(&batch).unwrap();
+            expected.push(batch);
+        }
+        assert_eq!(transport.replay_updates(0).unwrap(), expected);
+        assert_eq!(transport.replay_updates(2).unwrap(), expected[2..].to_vec());
+        drop(transport);
+        router.shutdown();
+        services.into_iter().for_each(crate::PirService::shutdown);
+    }
+
     #[test]
     fn shutdown_joins_every_router_thread() {
         let topology = routed_fleet(2);

@@ -25,7 +25,9 @@ use im_pir::core::engine::{EngineConfig, QueryEngine};
 use im_pir::core::fault::{FaultAction, FaultInjectingTransport, FaultProxy, FaultSchedule};
 use im_pir::core::scheme::TwoServerPir;
 use im_pir::core::server::cpu::{CpuPirServer, CpuServerConfig};
-use im_pir::core::transport::{LocalTransport, PirTransport, RetryPolicy, TcpTransport};
+use im_pir::core::transport::{
+    LocalTransport, MuxConnection, PirTransport, RetryPolicy, TcpTransport,
+};
 use im_pir::core::{PirClient, PirError};
 use impir_server::{PirService, ServiceConfig};
 
@@ -365,79 +367,114 @@ fn tcp_update_whose_ack_is_lost_is_not_resent() {
     service.shutdown();
 }
 
+/// The two request channels a client can hold to one server session: a
+/// dedicated [`TcpTransport`], or a [`MuxSession`] on a shared
+/// connection. Replay tests run over both, so the one chunked-replay loop
+/// is pinned on each.
+const CHANNELS: [&str; 2] = ["tcp", "mux"];
+
+/// Opens a session of the given channel kind to `service`; the
+/// connection (kept alive by the returned guard for mux sessions) closes
+/// when both are dropped.
+fn open_channel(
+    kind: &str,
+    service: &PirService,
+) -> (Box<dyn PirTransport>, Option<MuxConnection>) {
+    match kind {
+        "tcp" => (
+            Box::new(TcpTransport::connect(service.addr()).unwrap()),
+            None,
+        ),
+        _ => {
+            let connection = MuxConnection::connect(service.addr()).unwrap();
+            (Box::new(connection.session().unwrap()), Some(connection))
+        }
+    }
+}
+
 #[test]
 fn large_replays_are_chunked_across_bounded_frames() {
     let db = Arc::new(Database::random(RECORDS, RECORD_BYTES, 10).unwrap());
-    // A 64-byte replay frame bound fits only TWO single-record batches
-    // per reply (each batch body is 24 bytes here), so a five-batch
-    // replay must cross several round trips — and still arrive complete,
-    // in order.
-    let service = PirService::bind(
-        cpu_engine(&db),
-        "127.0.0.1:0",
-        ServiceConfig {
-            max_replay_frame_bytes: 64,
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
-    let mut transport = TcpTransport::connect(service.addr()).unwrap();
-    let mut expected = Vec::new();
-    for round in 0..5u8 {
-        let batch = vec![(u64::from(round), vec![round; RECORD_BYTES])];
-        transport.apply_updates(&batch).unwrap();
-        expected.push(batch);
+    for kind in CHANNELS {
+        // A 64-byte replay frame bound fits only TWO single-record
+        // batches per reply (each batch body is 24 bytes here), so a
+        // five-batch replay must cross several round trips — and still
+        // arrive complete, in order.
+        let service = PirService::bind(
+            cpu_engine(&db),
+            "127.0.0.1:0",
+            ServiceConfig {
+                max_replay_frame_bytes: 64,
+                ..ServiceConfig::default()
+            },
+        )
+        .unwrap();
+        let (mut transport, connection) = open_channel(kind, &service);
+        let mut expected = Vec::new();
+        for round in 0..5u8 {
+            let batch = vec![(u64::from(round), vec![round; RECORD_BYTES])];
+            transport.apply_updates(&batch).unwrap();
+            expected.push(batch);
+        }
+        assert_eq!(transport.replay_updates(0).unwrap(), expected, "{kind}");
+        // A partially-caught-up replica gets exactly its missing suffix.
+        assert_eq!(
+            transport.replay_updates(3).unwrap(),
+            expected[3..].to_vec(),
+            "{kind}"
+        );
+        // A single journalled batch that cannot fit any reply frame must
+        // fail with an actionable error, never an empty reply (the client
+        // would read that as "caught up" and silently stay lagging).
+        let oversized: Vec<(u64, Vec<u8>)> =
+            (0..4u64).map(|i| (i, vec![7; RECORD_BYTES])).collect();
+        transport.apply_updates(&oversized).unwrap();
+        let err = transport.replay_updates(5).unwrap_err();
+        assert!(
+            err.to_string().contains("replay frame bound"),
+            "{kind}: unhelpful error: {err}"
+        );
+        drop((transport, connection));
+        service.shutdown();
     }
-    assert_eq!(transport.replay_updates(0).unwrap(), expected);
-    // A partially-caught-up replica gets exactly its missing suffix.
-    assert_eq!(transport.replay_updates(3).unwrap(), expected[3..].to_vec());
-    // A single journalled batch that cannot fit any reply frame must fail
-    // with an actionable error, never an empty reply (the client would
-    // read that as "caught up" and silently stay lagging).
-    let oversized: Vec<(u64, Vec<u8>)> = (0..4u64).map(|i| (i, vec![7; RECORD_BYTES])).collect();
-    transport.apply_updates(&oversized).unwrap();
-    let err = transport.replay_updates(5).unwrap_err();
-    assert!(
-        err.to_string().contains("replay frame bound"),
-        "unhelpful error: {err}"
-    );
-    drop(transport);
-    service.shutdown();
 }
 
 #[test]
 fn journal_truncated_lag_fails_closed_over_the_wire() {
     let db = Arc::new(Database::random(RECORDS, RECORD_BYTES, 8).unwrap());
-    let engine = QueryEngine::single(
-        CpuPirServer::new(Arc::clone(&db), CpuServerConfig::baseline()).unwrap(),
-        EngineConfig {
-            journal_batches: 1,
-            ..EngineConfig::default()
-        },
-    )
-    .unwrap();
-    let service = PirService::bind(engine, "127.0.0.1:0", ServiceConfig::default()).unwrap();
-    let mut transport = TcpTransport::connect(service.addr()).unwrap();
+    for kind in CHANNELS {
+        let engine = QueryEngine::single(
+            CpuPirServer::new(Arc::clone(&db), CpuServerConfig::baseline()).unwrap(),
+            EngineConfig {
+                journal_batches: 1,
+                ..EngineConfig::default()
+            },
+        )
+        .unwrap();
+        let service = PirService::bind(engine, "127.0.0.1:0", ServiceConfig::default()).unwrap();
+        let (mut transport, connection) = open_channel(kind, &service);
 
-    for round in 0..3u8 {
-        transport
-            .apply_updates(&[(u64::from(round), vec![round; RECORD_BYTES])])
-            .unwrap();
+        for round in 0..3u8 {
+            transport
+                .apply_updates(&[(u64::from(round), vec![round; RECORD_BYTES])])
+                .unwrap();
+        }
+        // Replayable: only the last batch (retention 1).
+        let replayed = transport.replay_updates(2).unwrap();
+        assert_eq!(replayed.len(), 1, "{kind}");
+        assert_eq!(replayed[0], vec![(2u64, vec![2u8; RECORD_BYTES])], "{kind}");
+        // A replica stuck at epoch 0 is beyond the journal: the typed
+        // error crosses the wire intact so the client can fail closed
+        // actionably.
+        match transport.replay_updates(0) {
+            Err(PirError::JournalTruncated {
+                from_epoch: 0,
+                oldest_replayable: 2,
+                current_epoch: 3,
+            }) => {}
+            other => panic!("{kind}: expected the typed JournalTruncated error, got {other:?}"),
+        }
+        drop((transport, connection));
+        service.shutdown();
     }
-    // Replayable: only the last batch (retention 1).
-    let replayed = transport.replay_updates(2).unwrap();
-    assert_eq!(replayed.len(), 1);
-    assert_eq!(replayed[0], vec![(2u64, vec![2u8; RECORD_BYTES])]);
-    // A replica stuck at epoch 0 is beyond the journal: the typed error
-    // crosses the wire intact so the client can fail closed actionably.
-    match transport.replay_updates(0) {
-        Err(PirError::JournalTruncated {
-            from_epoch: 0,
-            oldest_replayable: 2,
-            current_epoch: 3,
-        }) => {}
-        other => panic!("expected the typed JournalTruncated error, got {other:?}"),
-    }
-    drop(transport);
-    service.shutdown();
 }

@@ -454,6 +454,55 @@ fn hostile_mux_input_gets_a_protocol_error_not_a_crash() {
 }
 
 #[test]
+fn a_mid_session_hello_is_a_protocol_violation_on_every_tier() {
+    // A second `Hello` after the handshake — plain on the root session or
+    // muxed on a logical one — earns an `Error` frame for that session
+    // and then a closed connection, on both session tiers alike.
+    for tier in [SessionTier::Threads, SessionTier::Events] {
+        let mut topology = cpu_fleet(1);
+        topology.session_tier = tier;
+        let service = build_service(&topology, 0).unwrap();
+        for session in [None, Some(1u32)] {
+            let mut stream = TcpStream::connect(service.addr()).unwrap();
+            stream
+                .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+                .unwrap();
+            let hello = Frame::Hello {
+                version: WIRE_VERSION,
+            };
+            write_frame(&mut stream, &hello);
+            let Frame::HelloAck { .. } = read_frame(&mut stream) else {
+                panic!("handshake failed on tier {tier}");
+            };
+            let again = match session {
+                None => hello,
+                Some(id) => wrap(id, hello),
+            };
+            write_frame(&mut stream, &again);
+            let reply = match (session, read_frame(&mut stream)) {
+                (None, reply) => reply,
+                (Some(id), Frame::Mux { session, frame }) if session == id => *frame,
+                (_, other) => panic!("tier {tier}: reply for the wrong session: {other:?}"),
+            };
+            match reply {
+                Frame::Error { message } => assert!(
+                    message.contains("Hello"),
+                    "tier {tier}, session {session:?}: the error names the frame: {message}"
+                ),
+                other => panic!("tier {tier}, session {session:?}: expected Error, got {other:?}"),
+            }
+            let mut rest = [0u8; 1];
+            assert_eq!(
+                stream.read(&mut rest).unwrap(),
+                0,
+                "tier {tier}, session {session:?}: the violation closes the connection"
+            );
+        }
+        service.shutdown();
+    }
+}
+
+#[test]
 fn client_side_overloaded_error_is_typed_and_retryable() {
     // The client-facing face of load shedding: a MuxSession surfaces the
     // refusal as `PirError::Overloaded` with the server's backoff hint,
