@@ -188,8 +188,8 @@ pub use topology::{
     ReplicaSpec, RetrySpec, RouterSpec, SessionTier, ShardPolicy, TransportKind,
 };
 pub use transport::{
-    LocalTransport, MuxConnection, MuxSession, PirTransport, RetryPolicy, ScanResult, ServerInfo,
-    TcpTransport, TransportBatch,
+    FrameChannel, LocalTransport, MuxConnection, MuxSession, PirTransport, RetryPolicy, ScanResult,
+    ServerInfo, TcpTransport, TransportBatch,
 };
 pub use wire::EpochInfo;
 

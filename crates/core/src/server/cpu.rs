@@ -88,10 +88,9 @@ impl CpuServerConfig {
     /// capacity profile, so the planner can never predict wave counts the
     /// backend does not deliver.
     ///
-    /// Based on [`host_parallelism`] (`std::thread::available_parallelism`),
-    /// *not* the vendored rayon shim's `current_num_threads`: the shim is
-    /// sequential and says nothing about how many scoped scan threads the
-    /// host can actually run side by side.
+    /// Based on [`host_parallelism`] (`std::thread::available_parallelism`):
+    /// how many scoped scan threads the host can actually run side by
+    /// side.
     #[must_use]
     pub fn wave_width(&self) -> usize {
         (host_parallelism() / self.scan_threads.max(1)).max(1)

@@ -14,12 +14,18 @@
 //!   client code drives in-process, mixed, or fully remote deployments;
 //! * [`MuxConnection`] multiplexes many logical sessions over **one** TCP
 //!   connection using [`Frame::Mux`] session ids — each
-//!   [`MuxConnection::session`] is a [`MuxSession`], a full
-//!   [`PirTransport`] of its own. Sessions pipeline: a background reader
-//!   thread routes each reply to the session that asked, so concurrent
-//!   sessions never head-of-line block on one another's round trips. The
-//!   router uses this for its backend legs (one socket per replica
-//!   instead of one per client session).
+//!   [`MuxConnection::session`] is a [`MuxSession`]. Sessions pipeline: a
+//!   background reader thread routes each reply to the session that
+//!   asked, so concurrent sessions never head-of-line block on one
+//!   another's round trips. The router uses this for its backend legs
+//!   (one socket per replica instead of one per client session).
+//!
+//! Both remote kinds are [`FrameChannel`]s: a channel only carries an
+//! encoded request frame out and a reply frame back. [`PirTransport`] is
+//! implemented **once** over every channel, so the meaning of each
+//! request — reply kind, response count, epoch caching, the server's
+//! `Error`/`Overloaded`/`JournalTruncated` refusals, the chunked replay
+//! loop — is written in one place, whichever socket carries it.
 //!
 //! Every transport reports the **wire cost** of each batch
 //! ([`TransportBatch::upload_bytes`] / [`TransportBatch::download_bytes`]):
@@ -247,6 +253,269 @@ impl<S: UpdatableBackend + Send + Sync> PirTransport for LocalTransport<S> {
 }
 
 // ---------------------------------------------------------------------------
+// Frame channels: the one client request path.
+// ---------------------------------------------------------------------------
+
+/// A request/reply channel to one server session: it carries one
+/// already-encoded plain request frame to the server and returns the
+/// server's reply frame.
+///
+/// [`PirTransport`] is implemented once for every channel, so what a
+/// request means — its reply kind, the response count, the epoch it
+/// reports, how `Error`, `Overloaded` and `JournalTruncated` surface, the
+/// chunked replay loop — is written in one place. A channel only decides
+/// how the bytes travel: [`TcpTransport`] over a dedicated connection it
+/// re-dials on failure, [`MuxSession`] as one logical session on a shared
+/// connection. The front-tier router forwards client frames through this
+/// trait too.
+pub trait FrameChannel: Send {
+    /// Sends `request` (one complete encoded plain frame) and returns the
+    /// server's reply frame, `Error` and `Overloaded` included.
+    /// `idempotent` says whether the request may be resent after a
+    /// connection failure; a non-idempotent request is never resent once
+    /// its bytes may have left this host.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PirError::Protocol`] when the exchange fails on the
+    /// transport: an I/O failure, a broken connection or a malformed
+    /// reply.
+    fn exchange(&mut self, request: &[u8], idempotent: bool) -> Result<Frame, PirError>;
+
+    /// Names the server end of the channel in error messages, such as
+    /// `server 10.0.0.7:7000`.
+    fn server_label(&self) -> String;
+
+    /// The server info this channel last heard of. The shared
+    /// [`PirTransport`] implementation keeps it current.
+    fn cached_info_mut(&mut self) -> &mut ServerInfo;
+
+    /// Bytes the channel adds around every plain frame on the wire, in
+    /// each direction (a [`Frame::Mux`] header, say). They are counted
+    /// into a [`TransportBatch`]'s wire costs.
+    fn framing_overhead(&self) -> usize {
+        0
+    }
+}
+
+/// One round trip through `channel`. Transport failures name the
+/// operation; the server's refusals become errors (see [`server_reply`]);
+/// any other reply frame is returned for the caller to check its kind.
+fn round_trip<C: FrameChannel>(
+    channel: &mut C,
+    op: &str,
+    request: &[u8],
+    idempotent: bool,
+) -> Result<Frame, PirError> {
+    let reply = channel
+        .exchange(request, idempotent)
+        .map_err(|err| match err {
+            PirError::Protocol { reason } => protocol_error(format!("{op}: {reason}")),
+            other => other,
+        })?;
+    server_reply(reply, || channel.server_label())
+}
+
+/// Turns the server's refusals into errors: `Error` into
+/// [`PirError::Protocol`] naming the server, and `Overloaded` into the
+/// retryable [`PirError::Overloaded`] (nothing ran and the connection
+/// stays usable, so the caller backs off instead of retrying blindly).
+/// `server` names the server, and runs only for an `Error` reply.
+fn server_reply(reply: Frame, server: impl FnOnce() -> String) -> Result<Frame, PirError> {
+    match reply {
+        Frame::Error { message } => Err(protocol_error(format!(
+            "{} rejected request: {message}",
+            server()
+        ))),
+        Frame::Overloaded { retry_after_ms } => Err(PirError::Overloaded { retry_after_ms }),
+        reply => Ok(reply),
+    }
+}
+
+fn unexpected<C: FrameChannel>(channel: &C, op: &str, expected: &str, got: &Frame) -> PirError {
+    protocol_error(format!(
+        "{op}: expected a {expected} frame from {}, got {}",
+        channel.server_label(),
+        got.name()
+    ))
+}
+
+impl<C: FrameChannel> PirTransport for C {
+    fn server_info(&mut self) -> Result<ServerInfo, PirError> {
+        let op = "requesting server info";
+        match round_trip(self, op, &Frame::InfoRequest.encode()?, true)? {
+            Frame::Info { info } => {
+                *self.cached_info_mut() = info;
+                Ok(info)
+            }
+            other => Err(unexpected(self, op, "Info", &other)),
+        }
+    }
+
+    fn query_batch(&mut self, shares: &[QueryShare]) -> Result<TransportBatch, PirError> {
+        let op = "querying batch";
+        let request = wire::encode_query_batch(shares)?;
+        let started = Instant::now();
+        match round_trip(self, op, &request, true)? {
+            Frame::ResponseBatch {
+                epoch,
+                wall_seconds,
+                phases,
+                responses,
+            } => {
+                if responses.len() != shares.len() {
+                    return Err(protocol_error(format!(
+                        "{op}: {} answered {} responses to {} shares",
+                        self.server_label(),
+                        responses.len(),
+                        shares.len()
+                    )));
+                }
+                self.cached_info_mut().epoch = epoch;
+                let overhead = self.framing_overhead();
+                Ok(TransportBatch {
+                    epoch,
+                    wall_seconds: started.elapsed().as_secs_f64(),
+                    server_wall_seconds: wall_seconds,
+                    phase_totals: phases,
+                    upload_bytes: (request.len() + overhead) as u64,
+                    download_bytes: (response_batch_frame_bytes(&responses) + overhead) as u64,
+                    responses,
+                })
+            }
+            other => Err(unexpected(self, op, "ResponseBatch", &other)),
+        }
+    }
+
+    fn scan_selector(&mut self, selector: &SelectorVector) -> Result<ScanResult, PirError> {
+        let op = "scanning selector";
+        match round_trip(self, op, &wire::encode_selector_scan(selector)?, true)? {
+            Frame::SelectorResult {
+                epoch,
+                payload,
+                phases,
+            } => {
+                self.cached_info_mut().epoch = epoch;
+                Ok(ScanResult {
+                    payload,
+                    epoch,
+                    phases,
+                })
+            }
+            other => Err(unexpected(self, op, "SelectorResult", &other)),
+        }
+    }
+
+    fn apply_updates(&mut self, updates: &[(u64, Vec<u8>)]) -> Result<UpdateOutcome, PirError> {
+        let op = "applying updates";
+        match round_trip(self, op, &wire::encode_update_batch(updates)?, false)? {
+            Frame::UpdateAck { outcome } => {
+                self.cached_info_mut().epoch = outcome.epoch;
+                Ok(outcome)
+            }
+            other => Err(unexpected(self, op, "UpdateAck", &other)),
+        }
+    }
+
+    fn epoch_info(&mut self) -> Result<EpochInfo, PirError> {
+        let op = "requesting epoch info";
+        match round_trip(self, op, &Frame::EpochInfoRequest.encode()?, true)? {
+            Frame::EpochInfo { info } => {
+                self.cached_info_mut().epoch = info.current_epoch;
+                Ok(info)
+            }
+            other => Err(unexpected(self, op, "EpochInfo", &other)),
+        }
+    }
+
+    fn replay_updates(&mut self, from_epoch: u64) -> Result<Vec<UpdateBatch>, PirError> {
+        // The server bounds every reply frame, so a large retained lag
+        // arrives as a *prefix* of the replay per request. Loop, advancing
+        // the requested epoch by the batches received, until the server's
+        // epoch at entry is reached or a reply comes back empty (caught
+        // up). Pinning the target at entry bounds the loop — a concurrent
+        // writer cannot extend it indefinitely; its tail batches are
+        // picked up by the caller's next resync round.
+        let op = "requesting update replay";
+        let target = self.epoch_info()?.current_epoch;
+        let mut next_epoch = from_epoch;
+        let mut all: Vec<UpdateBatch> = Vec::new();
+        loop {
+            let request = Frame::UpdateReplayRequest {
+                from_epoch: next_epoch,
+            }
+            .encode()?;
+            let batches = match round_trip(self, op, &request, true)? {
+                Frame::UpdateReplay { batches } => batches,
+                // A typed outcome the caller resolves (fail-closed
+                // resync), so it crosses the wire as its own frame.
+                Frame::JournalTruncated {
+                    from_epoch,
+                    oldest_replayable,
+                    current_epoch,
+                } => {
+                    return Err(PirError::JournalTruncated {
+                        from_epoch,
+                        oldest_replayable,
+                        current_epoch,
+                    });
+                }
+                other => return Err(unexpected(self, op, "UpdateReplay", &other)),
+            };
+            if batches.is_empty() {
+                break;
+            }
+            next_epoch += batches.len() as u64;
+            all.extend(batches);
+            if next_epoch >= target {
+                break;
+            }
+        }
+        Ok(all)
+    }
+}
+
+/// Resolves `addr` and connects to it. Returns the stream, every resolved
+/// address (for redialing) and the label errors name the server by.
+fn dial(addr: impl ToSocketAddrs) -> Result<(TcpStream, Vec<SocketAddr>, String), PirError> {
+    let peer: Vec<SocketAddr> = addr
+        .to_socket_addrs()
+        .map_err(|err| protocol_error(format!("resolving server address: {err}")))?
+        .collect();
+    let Some(first) = peer.first() else {
+        return Err(protocol_error(
+            "server address resolved to no socket addresses",
+        ));
+    };
+    let label = first.to_string();
+    let stream = TcpStream::connect(&peer[..])
+        .map_err(|err| protocol_error(format!("connecting to server {label}: {err}")))?;
+    let _ = stream.set_nodelay(true);
+    Ok((stream, peer, label))
+}
+
+/// The handshake check every connection shares: the server's info from a
+/// `HelloAck` in this build's wire version, else an error naming the
+/// server.
+fn hello_ack(reply: Frame, peer: &str) -> Result<ServerInfo, PirError> {
+    let server = format!("server {peer}");
+    match server_reply(reply, || server.clone())? {
+        Frame::HelloAck {
+            version: WIRE_VERSION,
+            info,
+        } => Ok(info),
+        Frame::HelloAck { version, .. } => Err(protocol_error(format!(
+            "handshaking with {server}: it speaks wire version {version}, this client speaks \
+             {WIRE_VERSION}"
+        ))),
+        other => Err(protocol_error(format!(
+            "handshaking with {server}: expected a HelloAck frame, got {}",
+            other.name()
+        ))),
+    }
+}
+
+// ---------------------------------------------------------------------------
 // TCP transport.
 // ---------------------------------------------------------------------------
 
@@ -306,9 +575,9 @@ impl RetryPolicy {
 }
 
 /// How one low-level exchange failed: `Io` broke the connection (the
-/// transport reconnects and, for idempotent operations, retries), `Fatal`
-/// is a definitive answer (server rejection, malformed or unexpected
-/// reply, version mismatch) that no retry can change.
+/// transport reconnects and, for idempotent requests, retries), `Fatal`
+/// is a definitive failure (malformed reply, refused handshake) that no
+/// retry can change.
 enum Failure {
     Io(String),
     Fatal(PirError),
@@ -358,18 +627,7 @@ impl TcpTransport {
     ///
     /// As for [`TcpTransport::connect`].
     pub fn connect_with(addr: impl ToSocketAddrs, policy: RetryPolicy) -> Result<Self, PirError> {
-        let peer: Vec<SocketAddr> = addr
-            .to_socket_addrs()
-            .map_err(|err| protocol_error(format!("resolving server address: {err}")))?
-            .collect();
-        let Some(first) = peer.first() else {
-            return Err(protocol_error(
-                "server address resolved to no socket addresses",
-            ));
-        };
-        let peer_label = first.to_string();
-        let stream = TcpStream::connect(&peer[..])
-            .map_err(|err| protocol_error(format!("connecting to server {peer_label}: {err}")))?;
+        let (stream, peer, peer_label) = dial(addr)?;
         let mut transport = TcpTransport {
             stream,
             peer,
@@ -386,9 +644,10 @@ impl TcpTransport {
             downloaded_bytes: 0,
         };
         transport.configure_stream()?;
-        transport
-            .handshake()
-            .map_err(|failure| transport.to_error("handshaking", failure))?;
+        transport.handshake().map_err(|failure| match failure {
+            Failure::Io(detail) => transport.error(&format!("handshaking: {detail}")),
+            Failure::Fatal(err) => err,
+        })?;
         Ok(transport)
     }
 
@@ -447,24 +706,14 @@ impl TcpTransport {
         let _ = self.stream.set_nodelay(true);
         self.stream
             .set_read_timeout(self.policy.io_timeout)
-            .map_err(|err| self.operation_error("setting read timeout", &err.to_string()))?;
-        self.stream
-            .set_write_timeout(self.policy.io_timeout)
-            .map_err(|err| self.operation_error("setting write timeout", &err.to_string()))
+            .and_then(|()| self.stream.set_write_timeout(self.policy.io_timeout))
+            .map_err(|err| self.error(&format!("setting socket timeouts: {err}")))
     }
 
-    /// "op to peer: detail" — every error this transport produces names
-    /// the peer and the operation, so multi-replica failures are
-    /// attributable.
-    fn operation_error(&self, op: &str, detail: &str) -> PirError {
-        protocol_error(format!("{op} to server {}: {detail}", self.peer_label))
-    }
-
-    fn to_error(&self, op: &str, failure: Failure) -> PirError {
-        match failure {
-            Failure::Io(detail) => self.operation_error(op, &detail),
-            Failure::Fatal(err) => err,
-        }
+    /// "server peer: detail" — every error this transport produces names
+    /// the peer, so multi-replica failures are attributable.
+    fn error(&self, detail: &str) -> PirError {
+        protocol_error(format!("server {}: {detail}", self.peer_label))
     }
 
     /// Dials the peer again and re-handshakes, replacing the dead stream.
@@ -479,53 +728,39 @@ impl TcpTransport {
     /// The magic/version exchange on a fresh stream.
     fn handshake(&mut self) -> Result<(), Failure> {
         self.broken = false;
-        let encoded = Frame::Hello {
+        let hello = Frame::Hello {
             version: WIRE_VERSION,
         }
         .encode()
         .map_err(Failure::Fatal)?;
-        let reply = self.exchange(&encoded)?;
-        match reply {
-            Frame::HelloAck { version, info } => {
-                if version != WIRE_VERSION {
-                    self.broken = true;
-                    return Err(Failure::Fatal(self.operation_error(
-                        "handshaking",
-                        &format!(
-                            "server speaks wire version {version}, this client speaks \
-                             {WIRE_VERSION}"
-                        ),
-                    )));
-                }
+        let reply = self.send_receive(&hello)?;
+        match hello_ack(reply, &self.peer_label) {
+            Ok(info) => {
                 self.info = info;
                 Ok(())
             }
-            other => Err(self.unexpected_frame("HelloAck", &other)),
+            Err(err) => {
+                self.broken = true;
+                Err(Failure::Fatal(err))
+            }
         }
     }
 
-    /// One request/response exchange on the current stream. I/O failures
-    /// and framing desyncs mark the connection broken; a [`Frame::Error`]
-    /// reply leaves it usable.
-    fn exchange(&mut self, encoded: &[u8]) -> Result<Frame, Failure> {
-        if let Err(err) = self.stream.write_all(encoded) {
+    /// One request/reply exchange on the current stream. Socket errors
+    /// are retryable [`Failure::Io`]; a malformed reply is
+    /// [`Failure::Fatal`]. Both mark the connection broken (after a
+    /// malformed reply the stream is desynchronised), so the next
+    /// operation reconnects.
+    fn send_receive(&mut self, request: &[u8]) -> Result<Frame, Failure> {
+        if let Err(err) = self
+            .stream
+            .write_all(request)
+            .and_then(|()| self.stream.flush())
+        {
             self.broken = true;
             return Err(Failure::Io(format!("writing request: {err}")));
         }
-        if let Err(err) = self.stream.flush() {
-            self.broken = true;
-            return Err(Failure::Io(format!("flushing request: {err}")));
-        }
-        self.uploaded_bytes += encoded.len() as u64;
-        self.receive_reply()
-    }
-
-    /// Reads one reply frame, classifying failures: socket errors are
-    /// retryable [`Failure::Io`]; malformed frames are [`Failure::Fatal`]
-    /// (the stream is desynchronized — also marked broken so the next
-    /// operation reconnects); a [`Frame::Error`] reply is fatal but leaves
-    /// the connection usable.
-    fn receive_reply(&mut self) -> Result<Frame, Failure> {
+        self.uploaded_bytes += request.len() as u64;
         let mut prefix = [0u8; 4];
         if let Err(err) = self.stream.read_exact(&mut prefix) {
             self.broken = true;
@@ -534,13 +769,10 @@ impl TcpTransport {
         let length = u32::from_le_bytes(prefix) as usize;
         if length == 0 || length > wire::MAX_FRAME_BYTES {
             self.broken = true;
-            return Err(Failure::Fatal(self.operation_error(
-                "reading reply",
-                &format!(
-                    "frame length {length} outside (0, {}]",
-                    wire::MAX_FRAME_BYTES
-                ),
-            )));
+            return Err(Failure::Fatal(self.error(&format!(
+                "reply frame length {length} outside (0, {}]",
+                wire::MAX_FRAME_BYTES
+            ))));
         }
         let mut buf = vec![0u8; 4 + length];
         buf[..4].copy_from_slice(&prefix);
@@ -549,251 +781,58 @@ impl TcpTransport {
             return Err(Failure::Io(format!("reading reply body: {err}")));
         }
         self.downloaded_bytes += buf.len() as u64;
-        let reply = Frame::decode(&buf).map_err(|err| {
-            // The stream is desynchronized from here on: reconnect next.
+        Frame::decode(&buf).map_err(|err| {
             self.broken = true;
-            Failure::Fatal(self.operation_error("decoding reply", &err.to_string()))
-        })?;
-        if let Frame::Error { message } = reply {
-            return Err(Failure::Fatal(protocol_error(format!(
-                "server {} rejected request: {message}",
-                self.peer_label
-            ))));
-        }
-        if let Frame::Overloaded { retry_after_ms } = reply {
-            // Typed load shedding: nothing ran and the connection stays
-            // usable — surface the backoff hint instead of retrying
-            // blindly into the same saturation.
-            return Err(Failure::Fatal(PirError::Overloaded { retry_after_ms }));
-        }
-        Ok(reply)
-    }
-
-    fn unexpected_frame(&self, expected: &str, got: &Frame) -> Failure {
-        Failure::Fatal(protocol_error(format!(
-            "expected a {expected} frame from server {}, got {}",
-            self.peer_label,
-            got.name()
-        )))
-    }
-
-    /// Runs one **idempotent** request to completion under the retry
-    /// policy: reconnects a broken connection, retries I/O failures with
-    /// exponential backoff, and surfaces fatal failures immediately.
-    fn idempotent_request(&mut self, op: &str, encoded: &[u8]) -> Result<Frame, PirError> {
-        let attempts = self.policy.max_attempts.max(1);
-        let mut backoff = self.policy.initial_backoff;
-        let mut attempt = 0;
-        loop {
-            attempt += 1;
-            let result = if self.broken {
-                self.reconnect().and_then(|()| self.exchange(encoded))
-            } else {
-                self.exchange(encoded)
-            };
-            match result {
-                Ok(reply) => return Ok(reply),
-                Err(Failure::Fatal(err)) => return Err(err),
-                Err(Failure::Io(detail)) => {
-                    if attempt >= attempts {
-                        return Err(self.operation_error(
-                            op,
-                            &format!("{detail} (after {attempt} attempt(s))"),
-                        ));
-                    }
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(self.policy.max_backoff);
-                }
-            }
-        }
-    }
-
-    /// Runs one **non-idempotent** request: reconnecting a known-broken
-    /// connection *before* sending is retried (nothing has been sent yet,
-    /// so it cannot duplicate anything), but once the request bytes may
-    /// have left this host, any failure is final — the server may have
-    /// applied the update even though the ack was lost, and only the
-    /// scheme layer can resolve that ambiguity (by epoch comparison, see
-    /// [`crate::scheme::TwoServerPir::apply_updates`]).
-    fn update_request(&mut self, op: &str, encoded: &[u8]) -> Result<Frame, PirError> {
-        let attempts = self.policy.max_attempts.max(1);
-        let mut backoff = self.policy.initial_backoff;
-        let mut attempt = 0;
-        while self.broken {
-            attempt += 1;
-            match self.reconnect() {
-                Ok(()) => break,
-                Err(Failure::Fatal(err)) => return Err(err),
-                Err(Failure::Io(detail)) => {
-                    if attempt >= attempts {
-                        return Err(self.operation_error(
-                            op,
-                            &format!("{detail} (after {attempt} reconnect attempt(s))"),
-                        ));
-                    }
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(self.policy.max_backoff);
-                }
-            }
-        }
-        self.exchange(encoded)
-            .map_err(|failure| self.to_error(op, failure))
+            Failure::Fatal(self.error(&format!("decoding reply: {err}")))
+        })
     }
 }
 
-impl PirTransport for TcpTransport {
-    fn server_info(&mut self) -> Result<ServerInfo, PirError> {
-        let encoded = Frame::InfoRequest.encode()?;
-        match self.idempotent_request("requesting server info", &encoded)? {
-            Frame::Info { info } => {
-                self.info = info;
-                Ok(info)
-            }
-            other => Err(self.to_error(
-                "requesting server info",
-                self.unexpected_frame("Info", &other),
-            )),
-        }
-    }
-
-    fn query_batch(&mut self, shares: &[QueryShare]) -> Result<TransportBatch, PirError> {
-        let encoded = wire::encode_query_batch(shares)?;
-        let upload_bytes = encoded.len() as u64;
-        let started = Instant::now();
-        let reply = self.idempotent_request("querying batch", &encoded)?;
-        match reply {
-            Frame::ResponseBatch {
-                epoch,
-                wall_seconds,
-                phases,
-                responses,
-            } => {
-                if responses.len() != shares.len() {
-                    return Err(self.operation_error(
-                        "querying batch",
-                        &format!(
-                            "server answered {} responses to {} shares",
-                            responses.len(),
-                            shares.len()
-                        ),
-                    ));
-                }
-                self.info.epoch = epoch;
-                Ok(TransportBatch {
-                    epoch,
-                    wall_seconds: started.elapsed().as_secs_f64(),
-                    server_wall_seconds: wall_seconds,
-                    phase_totals: phases,
-                    upload_bytes,
-                    download_bytes: response_batch_frame_bytes(&responses) as u64,
-                    responses,
-                })
-            }
-            other => Err(self.to_error(
-                "querying batch",
-                self.unexpected_frame("ResponseBatch", &other),
-            )),
-        }
-    }
-
-    fn scan_selector(&mut self, selector: &SelectorVector) -> Result<ScanResult, PirError> {
-        let encoded = wire::encode_selector_scan(selector)?;
-        let reply = self.idempotent_request("scanning selector", &encoded)?;
-        match reply {
-            Frame::SelectorResult {
-                epoch,
-                payload,
-                phases,
-            } => {
-                self.info.epoch = epoch;
-                Ok(ScanResult {
-                    payload,
-                    epoch,
-                    phases,
-                })
-            }
-            other => Err(self.to_error(
-                "scanning selector",
-                self.unexpected_frame("SelectorResult", &other),
-            )),
-        }
-    }
-
-    fn apply_updates(&mut self, updates: &[(u64, Vec<u8>)]) -> Result<UpdateOutcome, PirError> {
-        let encoded = wire::encode_update_batch(updates)?;
-        let reply = self.update_request("applying updates", &encoded)?;
-        match reply {
-            Frame::UpdateAck { outcome } => {
-                self.info.epoch = outcome.epoch;
-                Ok(outcome)
-            }
-            other => Err(self.to_error(
-                "applying updates",
-                self.unexpected_frame("UpdateAck", &other),
-            )),
-        }
-    }
-
-    fn epoch_info(&mut self) -> Result<EpochInfo, PirError> {
-        let encoded = Frame::EpochInfoRequest.encode()?;
-        match self.idempotent_request("requesting epoch info", &encoded)? {
-            Frame::EpochInfo { info } => {
-                self.info.epoch = info.current_epoch;
-                Ok(info)
-            }
-            other => Err(self.to_error(
-                "requesting epoch info",
-                self.unexpected_frame("EpochInfo", &other),
-            )),
-        }
-    }
-
-    fn replay_updates(&mut self, from_epoch: u64) -> Result<Vec<UpdateBatch>, PirError> {
-        // The server bounds every reply frame, so a large retained lag
-        // arrives as a *prefix* of the replay per request. Loop, advancing
-        // the requested epoch by the batches received, until the server's
-        // epoch at entry is reached or a reply comes back empty (caught
-        // up). Pinning the target at entry bounds the loop — a concurrent
-        // writer cannot extend it indefinitely; its tail batches are
-        // picked up by the caller's next resync round.
-        let target = self.epoch_info()?.current_epoch;
-        let mut next_epoch = from_epoch;
-        let mut all: Vec<UpdateBatch> = Vec::new();
+impl FrameChannel for TcpTransport {
+    /// Runs one request under the retry policy: a broken connection is
+    /// re-dialed first (always safe — nothing has been sent yet), I/O
+    /// failures are retried with exponential backoff, and fatal failures
+    /// surface at once. Once a **non-idempotent** request's bytes may
+    /// have left this host any failure is final: the server may have
+    /// applied the update although the ack was lost, and only the scheme
+    /// layer can resolve that (by epoch comparison, see
+    /// [`crate::scheme::TwoServerPir::apply_updates`]).
+    fn exchange(&mut self, request: &[u8], idempotent: bool) -> Result<Frame, PirError> {
+        let attempts = self.policy.max_attempts.max(1);
+        let mut backoff = self.policy.initial_backoff;
+        let mut attempt = 0;
         loop {
-            let encoded = Frame::UpdateReplayRequest {
-                from_epoch: next_epoch,
+            attempt += 1;
+            let mut sent = false;
+            let result = if self.broken {
+                self.reconnect()
+            } else {
+                Ok(())
             }
-            .encode()?;
-            let batches = match self.idempotent_request("requesting update replay", &encoded)? {
-                Frame::UpdateReplay { batches } => batches,
-                Frame::JournalTruncated {
-                    from_epoch,
-                    oldest_replayable,
-                    current_epoch,
-                } => {
-                    return Err(PirError::JournalTruncated {
-                        from_epoch,
-                        oldest_replayable,
-                        current_epoch,
-                    });
+            .and_then(|()| {
+                sent = true;
+                self.send_receive(request)
+            });
+            match result {
+                Ok(reply) => return Ok(reply),
+                Err(Failure::Fatal(err)) => return Err(err),
+                Err(Failure::Io(detail)) if attempt >= attempts || (sent && !idempotent) => {
+                    return Err(self.error(&format!("{detail} (after {attempt} attempt(s))")));
                 }
-                other => {
-                    return Err(self.to_error(
-                        "requesting update replay",
-                        self.unexpected_frame("UpdateReplay", &other),
-                    ));
+                Err(Failure::Io(_)) => {
+                    std::thread::sleep(backoff);
+                    backoff = (backoff * 2).min(self.policy.max_backoff);
                 }
-            };
-            if batches.is_empty() {
-                break;
-            }
-            next_epoch += batches.len() as u64;
-            all.extend(batches);
-            if next_epoch >= target {
-                break;
             }
         }
-        Ok(all)
+    }
+
+    fn server_label(&self) -> String {
+        format!("server {}", self.peer_label)
+    }
+
+    fn cached_info_mut(&mut self) -> &mut ServerInfo {
+        &mut self.info
     }
 }
 
@@ -945,20 +984,7 @@ impl MuxConnection {
         addr: impl ToSocketAddrs,
         write_timeout: Option<Duration>,
     ) -> Result<Self, PirError> {
-        let peer: Vec<SocketAddr> = addr
-            .to_socket_addrs()
-            .map_err(|err| protocol_error(format!("resolving server address: {err}")))?
-            .collect();
-        let Some(first) = peer.first() else {
-            return Err(protocol_error(
-                "server address resolved to no socket addresses",
-            ));
-        };
-        let peer_label = first.to_string();
-        let mut stream = TcpStream::connect(&peer[..])
-            .map_err(|err| protocol_error(format!("connecting to server {peer_label}: {err}")))?;
-        let _ = stream.set_nodelay(true);
-
+        let (mut stream, _, peer_label) = dial(addr)?;
         // Connection-level handshake, before any multiplexing: plain
         // Hello out, plain HelloAck back.
         let hello = Frame::Hello {
@@ -972,23 +998,7 @@ impl MuxConnection {
                 protocol_error(format!("handshaking with server {peer_label}: {err}"))
             })?;
         let (reply, taken) = wire::read_frame(&mut stream)?;
-        let info = match reply {
-            Frame::HelloAck { version, info } => {
-                if version != WIRE_VERSION {
-                    return Err(protocol_error(format!(
-                        "server {peer_label} speaks wire version {version}, this client \
-                         speaks {WIRE_VERSION}"
-                    )));
-                }
-                info
-            }
-            other => {
-                return Err(protocol_error(format!(
-                    "expected a HelloAck frame from server {peer_label}, got {}",
-                    other.name()
-                )));
-            }
-        };
+        let info = hello_ack(reply, &peer_label)?;
 
         let writer = stream.try_clone().map_err(|err| {
             protocol_error(format!("cloning stream to server {peer_label}: {err}"))
@@ -1093,9 +1103,10 @@ impl Drop for MuxConnection {
     }
 }
 
-/// One logical session on a [`MuxConnection`] — a full [`PirTransport`]:
-/// schemes and the router's per-client backend legs hold a `MuxSession`
-/// exactly where they previously held a whole [`TcpTransport`].
+/// One logical session on a [`MuxConnection`] — a [`FrameChannel`], and
+/// so a full [`PirTransport`]: schemes and the router's per-client backend
+/// legs hold a `MuxSession` exactly where they would hold a whole
+/// [`TcpTransport`].
 pub struct MuxSession {
     shared: Arc<MuxShared>,
     session: u32,
@@ -1118,25 +1129,21 @@ impl MuxSession {
         self.session
     }
 
-    fn operation_error(&self, op: &str, detail: &str) -> PirError {
-        protocol_error(format!(
-            "{op} to server {} (session {}): {detail}",
-            self.shared.peer_label, self.session
-        ))
+    fn error(&self, detail: &str) -> PirError {
+        protocol_error(format!("{}: {detail}", self.server_label()))
     }
+}
 
-    /// One muxed request/reply round trip. Unlike [`TcpTransport`] there
-    /// are no retries here: a mux connection is shared, so recovery (a
-    /// replacement connection) belongs to its owner.
-    fn request(&mut self, op: &str, inner: Frame) -> Result<(Frame, u64), PirError> {
+impl FrameChannel for MuxSession {
+    /// One muxed round trip: the request goes out behind a mux header
+    /// and the reader thread hands back the reply. Unlike [`TcpTransport`]
+    /// there are no retries here: a mux connection is shared, so recovery
+    /// (a replacement connection) belongs to its owner.
+    fn exchange(&mut self, request: &[u8], _idempotent: bool) -> Result<Frame, PirError> {
         if self.shared.broken.load(Ordering::SeqCst) {
-            return Err(self.operation_error(op, "connection is broken"));
+            return Err(self.error("connection is broken"));
         }
-        let encoded = Frame::Mux {
-            session: self.session,
-            frame: Box::new(inner),
-        }
-        .encode()?;
+        let encoded = wire::encode_mux(self.session, request)?;
         let (tx, rx) = mpsc::channel();
         self.shared
             .pending
@@ -1148,182 +1155,29 @@ impl MuxSession {
             if let Err(err) = writer.write_all(&encoded).and_then(|()| writer.flush()) {
                 drop(writer);
                 self.shared.fail(&format!("writing request: {err}"));
-                return Err(self.operation_error(op, &format!("writing request: {err}")));
+                return Err(self.error(&format!("writing request: {err}")));
             }
         }
-        let upload_bytes = encoded.len() as u64;
         self.shared
             .uploaded
-            .fetch_add(upload_bytes, Ordering::Relaxed);
-        let reply = match rx.recv() {
-            Ok(Ok(reply)) => reply,
-            Ok(Err(err)) => return Err(err),
-            Err(_) => {
-                return Err(self.operation_error(op, "connection closed before the reply arrived"))
-            }
-        };
-        match reply {
-            Frame::Error { message } => Err(protocol_error(format!(
-                "server {} rejected request: {message}",
-                self.shared.peer_label
-            ))),
-            Frame::Overloaded { retry_after_ms } => Err(PirError::Overloaded { retry_after_ms }),
-            other => Ok((other, upload_bytes)),
-        }
+            .fetch_add(encoded.len() as u64, Ordering::Relaxed);
+        rx.recv()
+            .unwrap_or_else(|_| Err(self.error("connection closed before the reply arrived")))
     }
 
-    fn unexpected_frame(&self, op: &str, expected: &str, got: &Frame) -> PirError {
-        self.operation_error(
-            op,
-            &format!("expected a {expected} frame, got {}", got.name()),
+    fn server_label(&self) -> String {
+        format!(
+            "server {} (session {})",
+            self.shared.peer_label, self.session
         )
     }
-}
 
-impl PirTransport for MuxSession {
-    fn server_info(&mut self) -> Result<ServerInfo, PirError> {
-        let op = "requesting server info";
-        match self.request(op, Frame::InfoRequest)? {
-            (Frame::Info { info }, _) => {
-                self.info = info;
-                Ok(info)
-            }
-            (other, _) => Err(self.unexpected_frame(op, "Info", &other)),
-        }
+    fn cached_info_mut(&mut self) -> &mut ServerInfo {
+        &mut self.info
     }
 
-    fn query_batch(&mut self, shares: &[QueryShare]) -> Result<TransportBatch, PirError> {
-        let op = "querying batch";
-        let started = Instant::now();
-        let request = Frame::QueryBatch {
-            shares: shares.to_vec(),
-        };
-        match self.request(op, request)? {
-            (
-                Frame::ResponseBatch {
-                    epoch,
-                    wall_seconds,
-                    phases,
-                    responses,
-                },
-                upload_bytes,
-            ) => {
-                if responses.len() != shares.len() {
-                    return Err(self.operation_error(
-                        op,
-                        &format!(
-                            "server answered {} responses to {} shares",
-                            responses.len(),
-                            shares.len()
-                        ),
-                    ));
-                }
-                self.info.epoch = epoch;
-                Ok(TransportBatch {
-                    epoch,
-                    wall_seconds: started.elapsed().as_secs_f64(),
-                    server_wall_seconds: wall_seconds,
-                    phase_totals: phases,
-                    upload_bytes,
-                    download_bytes: (response_batch_frame_bytes(&responses)
-                        + wire::MUX_OVERHEAD_BYTES) as u64,
-                    responses,
-                })
-            }
-            (other, _) => Err(self.unexpected_frame(op, "ResponseBatch", &other)),
-        }
-    }
-
-    fn scan_selector(&mut self, selector: &SelectorVector) -> Result<ScanResult, PirError> {
-        let op = "scanning selector";
-        let request = Frame::SelectorScan {
-            selector: selector.clone(),
-        };
-        match self.request(op, request)? {
-            (
-                Frame::SelectorResult {
-                    epoch,
-                    payload,
-                    phases,
-                },
-                _,
-            ) => {
-                self.info.epoch = epoch;
-                Ok(ScanResult {
-                    payload,
-                    epoch,
-                    phases,
-                })
-            }
-            (other, _) => Err(self.unexpected_frame(op, "SelectorResult", &other)),
-        }
-    }
-
-    fn apply_updates(&mut self, updates: &[(u64, Vec<u8>)]) -> Result<UpdateOutcome, PirError> {
-        let op = "applying updates";
-        let request = Frame::UpdateBatch {
-            updates: updates.to_vec(),
-        };
-        match self.request(op, request)? {
-            (Frame::UpdateAck { outcome }, _) => {
-                self.info.epoch = outcome.epoch;
-                Ok(outcome)
-            }
-            (other, _) => Err(self.unexpected_frame(op, "UpdateAck", &other)),
-        }
-    }
-
-    fn epoch_info(&mut self) -> Result<EpochInfo, PirError> {
-        let op = "requesting epoch info";
-        match self.request(op, Frame::EpochInfoRequest)? {
-            (Frame::EpochInfo { info }, _) => {
-                self.info.epoch = info.current_epoch;
-                Ok(info)
-            }
-            (other, _) => Err(self.unexpected_frame(op, "EpochInfo", &other)),
-        }
-    }
-
-    fn replay_updates(&mut self, from_epoch: u64) -> Result<Vec<UpdateBatch>, PirError> {
-        // Same chunked-prefix loop as TcpTransport::replay_updates: the
-        // target epoch is pinned at entry so a concurrent writer cannot
-        // extend the loop indefinitely.
-        let op = "requesting update replay";
-        let target = self.epoch_info()?.current_epoch;
-        let mut next_epoch = from_epoch;
-        let mut all: Vec<UpdateBatch> = Vec::new();
-        loop {
-            let request = Frame::UpdateReplayRequest {
-                from_epoch: next_epoch,
-            };
-            let batches = match self.request(op, request)? {
-                (Frame::UpdateReplay { batches }, _) => batches,
-                (
-                    Frame::JournalTruncated {
-                        from_epoch,
-                        oldest_replayable,
-                        current_epoch,
-                    },
-                    _,
-                ) => {
-                    return Err(PirError::JournalTruncated {
-                        from_epoch,
-                        oldest_replayable,
-                        current_epoch,
-                    });
-                }
-                (other, _) => return Err(self.unexpected_frame(op, "UpdateReplay", &other)),
-            };
-            if batches.is_empty() {
-                break;
-            }
-            next_epoch += batches.len() as u64;
-            all.extend(batches);
-            if next_epoch >= target {
-                break;
-            }
-        }
-        Ok(all)
+    fn framing_overhead(&self) -> usize {
+        wire::MUX_OVERHEAD_BYTES
     }
 }
 

@@ -635,6 +635,22 @@ impl Frame {
         }
     }
 
+    /// Whether this is a client request a server session answers — one of
+    /// the six request kinds — rather than a handshake, a reply, a
+    /// `Goodbye` or a `Mux` wrapper.
+    #[must_use]
+    pub fn is_request(&self) -> bool {
+        matches!(
+            self,
+            Frame::QueryBatch { .. }
+                | Frame::UpdateBatch { .. }
+                | Frame::InfoRequest
+                | Frame::SelectorScan { .. }
+                | Frame::EpochInfoRequest
+                | Frame::UpdateReplayRequest { .. }
+        )
+    }
+
     /// Serializes the frame, framing bytes included.
     ///
     /// # Errors
@@ -1021,6 +1037,30 @@ pub fn encode_selector_scan(selector: &SelectorVector) -> Result<Vec<u8>, PirErr
         selector_scan_frame_bytes(selector) - FRAME_HEADER_BYTES,
         |w| write_selector_scan_body(w, selector),
     )
+}
+
+/// Wraps an already-encoded plain frame for a logical session:
+/// byte-identical to encoding [`Frame::Mux`] around the decoded frame,
+/// without decoding it or copying its fields.
+///
+/// # Errors
+///
+/// Returns [`PirError::Protocol`] if `encoded` is not one complete frame,
+/// is itself a [`Frame::Mux`], or would exceed [`MAX_FRAME_BYTES`] once
+/// wrapped.
+pub fn encode_mux(session: u32, encoded: &[u8]) -> Result<Vec<u8>, PirError> {
+    if encoded.len() < FRAME_HEADER_BYTES
+        || u32::from_le_bytes(encoded[..4].try_into().expect("4")) as usize != encoded.len() - 4
+    {
+        return Err(protocol_error("only one complete frame can be multiplexed"));
+    }
+    if encoded[4] == TAG_MUX {
+        return Err(protocol_error("Mux frame nested inside a Mux frame"));
+    }
+    encode_with_body(TAG_MUX, 4 + encoded[4..].len(), |w| {
+        w.u32(session);
+        w.raw(&encoded[4..]);
+    })
 }
 
 /// Serializes `frame` into `writer`, returning the number of bytes put on

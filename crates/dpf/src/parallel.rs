@@ -29,10 +29,8 @@
 //!
 //! * [`EvalStrategy::eval_full`] / [`EvalStrategy::eval_range`] optimise
 //!   **single-query latency**: the subtree-parallel strategy fans its
-//!   perfect subtrees out over real `std::thread::scope` worker threads
-//!   (the vendored rayon shim is sequential, so data-parallel iterators
-//!   would not actually parallelise — see ROADMAP), each worker expanding
-//!   through its own scratch;
+//!   perfect subtrees out over real `std::thread::scope` worker threads,
+//!   each worker expanding through its own scratch;
 //! * [`EvalStrategy::eval_range_with_scratch`] optimises **steady-state
 //!   batch throughput**: it runs on the calling thread reusing one
 //!   caller-owned scratch, because the batch pipeline already runs one
@@ -60,10 +58,8 @@ pub const DEFAULT_CHUNK_BITS: u32 = 13;
 /// (`std::thread::available_parallelism`, 1 if unknown) — the single
 /// definition every thread-count default in the workspace derives from.
 ///
-/// The vendored rayon shim is sequential, so `rayon::current_num_threads`
-/// says nothing about real parallelism here; thread-level parallelism comes
-/// exclusively from explicit `std::thread::scope` fan-outs sized by this
-/// function.
+/// Thread-level parallelism comes exclusively from explicit
+/// `std::thread::scope` fan-outs sized by this function.
 #[must_use]
 pub fn host_parallelism() -> usize {
     std::thread::available_parallelism()

@@ -9,20 +9,21 @@
 //!
 //! * each connection carries a **read buffer** and a **write buffer**, so
 //!   length-prefixed [`Frame`]s survive partial reads and partial writes;
-//! * parsed requests are forwarded to the same dispatcher thread the
-//!   threaded tier uses — wave coalescing and the engine's bounded
-//!   admission queue stay the batching brain — but with `try_send`
-//!   instead of a blocking send: a full dispatcher queue makes the loop
-//!   **shed load** with a typed [`Frame::Overloaded`] refusal and pause
-//!   reading that connection until the queue drains, so overload never
-//!   buffers requests without bound;
-//! * replies are polled without blocking and written back as the sockets
-//!   accept bytes, wrapped for the logical session that sent the request
-//!   ([`Frame::Mux`]); a connection whose write buffer backs up stops
-//!   being read until it drains.
+//! * every parsed frame is classified by the same function the threaded
+//!   tier uses (request, `Goodbye` or violation, per logical session);
+//!   requests go to the same dispatcher thread as request frames — wave
+//!   coalescing and the engine's bounded admission queue stay the
+//!   batching brain — but with `try_send` instead of a blocking send: a
+//!   full dispatcher queue makes the loop **shed load** with a typed
+//!   [`Frame::Overloaded`] refusal and pause reading that connection
+//!   until the queue drains, so overload never buffers requests without
+//!   bound;
+//! * reply frames are polled without blocking and written back as the
+//!   sockets accept bytes, wrapped for the logical session that sent the
+//!   request ([`Frame::Mux`]); a connection whose write buffer backs up
+//!   stops being read until it drains.
 //!
-//! Reply frames are built by the same constructors the threaded tier
-//! uses (`query_reply_frame` and friends in the crate root), so the two
+//! The dispatcher builds every reply frame for both tiers, so the two
 //! tiers answer **byte-identically** — pinned by the networked
 //! equivalence suite. Thread count is constant: the event loop plus the
 //! dispatcher, no matter how many sessions connect.
@@ -39,15 +40,12 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
-use impir_core::batch::UpdateOutcome;
-use impir_core::transport::{EpochInfo, ScanResult, ServerInfo};
-use impir_core::wire::{Frame, MAX_FRAME_BYTES, WIRE_VERSION};
-use impir_core::UpdateBatch;
+use impir_core::wire::{Frame, MAX_FRAME_BYTES};
+use impir_core::PirError;
 
 use crate::{
-    claim_logical_session, dispatcher_gone_frame, error_frame, protocol, query_reply_frame,
-    replay_reply_frame, scan_result_frame, update_ack_frame, wrap, QueryReply, ServiceConfig,
-    ServiceRequest,
+    dispatcher_gone_frame, error_frame, handshake_refusal, inbound, protocol, wrap, Inbound,
+    Request, ServiceConfig,
 };
 
 /// How long the loop sleeps when a full pass over every socket made no
@@ -71,69 +69,6 @@ const WRITE_BUF_PAUSE_BYTES: usize = 1 << 20;
 /// The backoff hint carried by [`Frame::Overloaded`] refusals.
 pub(crate) const OVERLOAD_RETRY_MS: u64 = 25;
 
-/// A reply the dispatcher owes one logical session, polled without
-/// blocking. The frame constructors are shared with the threaded tier so
-/// replies are byte-identical across tiers.
-enum PendingReply {
-    /// The handshake's `Info` round trip; answered as `HelloAck`.
-    Hello(Receiver<ServerInfo>),
-    Info(Receiver<ServerInfo>),
-    Epoch(Receiver<EpochInfo>),
-    Query(Receiver<Result<QueryReply, crate::PirError>>),
-    Update(Receiver<Result<UpdateOutcome, crate::PirError>>),
-    Scan(Receiver<Result<ScanResult, crate::PirError>>),
-    Replay {
-        rx: Receiver<Result<Vec<UpdateBatch>, crate::PirError>>,
-        from_epoch: u64,
-    },
-}
-
-impl PendingReply {
-    /// The reply frame, if the dispatcher has answered. A disconnected
-    /// reply channel (dispatcher gone) yields the same error frame the
-    /// threaded tier sends.
-    fn poll(&self, max_replay_frame_bytes: usize) -> Option<Frame> {
-        fn ready<T>(rx: &Receiver<T>, build: impl FnOnce(T) -> Frame) -> Option<Frame> {
-            match rx.try_recv() {
-                Ok(value) => Some(build(value)),
-                Err(TryRecvError::Empty) => None,
-                Err(TryRecvError::Disconnected) => Some(dispatcher_gone_frame()),
-            }
-        }
-        match self {
-            PendingReply::Hello(rx) => ready(rx, |info| Frame::HelloAck {
-                version: WIRE_VERSION,
-                info,
-            }),
-            PendingReply::Info(rx) => ready(rx, |info| Frame::Info { info }),
-            PendingReply::Epoch(rx) => ready(rx, |info| Frame::EpochInfo { info }),
-            PendingReply::Query(rx) => ready(rx, query_reply_frame),
-            PendingReply::Update(rx) => ready(rx, update_ack_frame),
-            PendingReply::Scan(rx) => ready(rx, scan_result_frame),
-            PendingReply::Replay { rx, from_epoch } => {
-                let from_epoch = *from_epoch;
-                ready(rx, move |result| {
-                    replay_reply_frame(result, from_epoch, max_replay_frame_bytes)
-                })
-            }
-        }
-    }
-}
-
-/// What dispatching one parsed request produced.
-enum Dispatch {
-    /// Forwarded; the reply arrives through the held receiver.
-    Pending(PendingReply),
-    /// Answered locally without touching the dispatcher.
-    Immediate(Frame),
-    /// A protocol violation: send the frame, then close the connection.
-    Violation(Frame),
-    /// The dispatcher queue is full: shed this request.
-    Overloaded,
-    /// The session said `Goodbye`.
-    EndSession,
-}
-
 /// One client connection's state between readiness passes.
 struct Conn {
     stream: TcpStream,
@@ -146,11 +81,13 @@ struct Conn {
     handshaken: bool,
     /// Multiplexed session ids already counted against the budget.
     mux_sessions: HashSet<u32>,
-    /// Parsed requests awaiting dispatch; `None` = the root session.
-    queued: VecDeque<(Option<u32>, Frame)>,
+    /// Classified frames awaiting dispatch, by logical session (`None` =
+    /// the root session).
+    queued: VecDeque<(Option<u32>, Inbound)>,
     /// At most one in-flight dispatcher request per logical session, so
-    /// each session's replies keep request order.
-    inflight: HashMap<Option<u32>, PendingReply>,
+    /// each session's replies keep request order: the reply frame the
+    /// dispatcher owes it, polled without blocking.
+    inflight: HashMap<Option<u32>, Receiver<Frame>>,
     /// Reading paused because the dispatcher queue was full.
     shed: bool,
     /// No more reads; reap once queued/inflight/writes drain.
@@ -199,7 +136,7 @@ fn would_block(err: &std::io::Error) -> bool {
 /// [`crate::PirService::join`] waits for).
 pub(crate) fn event_loop(
     listener: &TcpListener,
-    requests: &Sender<ServiceRequest>,
+    requests: &Sender<Request>,
     shutdown: &AtomicBool,
     config: ServiceConfig,
 ) {
@@ -255,7 +192,7 @@ pub(crate) fn event_loop(
 /// dispatch queued requests, read and parse new frames, flush writes.
 fn tick_conn(
     conn: &mut Conn,
-    requests: &Sender<ServiceRequest>,
+    requests: &Sender<Request>,
     opened: &AtomicUsize,
     config: &ServiceConfig,
     scratch: &mut [u8],
@@ -268,7 +205,7 @@ fn tick_conn(
     // Replies the dispatcher has finished since the last pass.
     let mut ready = Vec::new();
     for (&session, pending) in &conn.inflight {
-        if let Some(frame) = pending.poll(config.max_replay_frame_bytes) {
+        if let Some(frame) = poll(pending) {
             ready.push((session, frame));
         }
     }
@@ -298,41 +235,40 @@ fn tick_conn(
             index += 1;
             continue;
         }
-        let (session, frame) = conn.queued.remove(index).expect("index is in bounds");
+        let (session, inbound) = conn.queued.remove(index).expect("index is in bounds");
         *progressed = true;
-        match dispatch(requests, frame) {
-            Dispatch::Pending(pending) => {
-                conn.inflight.insert(session, pending);
-            }
-            Dispatch::Immediate(reply) => enqueue_reply(conn, session, reply),
-            Dispatch::Violation(reply) => {
+        match inbound {
+            Inbound::Request(request) => match forward(requests, request) {
+                Some(pending) => {
+                    conn.inflight.insert(session, pending);
+                }
+                None => {
+                    // Typed admission control: a shed request is refused
+                    // before execution, the client backs off and retries,
+                    // and this connection stops being read until the
+                    // queue drains.
+                    let shed = Frame::Overloaded {
+                        retry_after_ms: OVERLOAD_RETRY_MS,
+                    };
+                    enqueue_reply(conn, session, shed);
+                    conn.shed = true;
+                }
+            },
+            Inbound::Refusal(reply) => enqueue_reply(conn, session, reply),
+            Inbound::Violation(reply) => {
                 enqueue_reply(conn, session, reply);
                 conn.queued.clear();
                 conn.closing = true;
                 break;
             }
-            Dispatch::Overloaded => {
-                // Typed admission control: the request is refused before
-                // execution, the client backs off and retries, and this
-                // connection stops being read until the queue drains.
-                enqueue_reply(
-                    conn,
-                    session,
-                    Frame::Overloaded {
-                        retry_after_ms: OVERLOAD_RETRY_MS,
-                    },
-                );
-                conn.shed = true;
+            // A root Goodbye closes the whole connection; a muxed one
+            // closes only its logical session.
+            Inbound::Goodbye if session.is_none() => {
+                conn.queued.clear();
+                conn.closing = true;
+                break;
             }
-            Dispatch::EndSession => {
-                if session.is_none() {
-                    // Root Goodbye closes the whole connection; a muxed
-                    // Goodbye closed only its logical session.
-                    conn.queued.clear();
-                    conn.closing = true;
-                    break;
-                }
-            }
+            Inbound::Goodbye => {}
         }
     }
 
@@ -397,97 +333,49 @@ fn parse_frames(conn: &mut Conn, opened: &AtomicUsize, config: &ServiceConfig) {
             // Same wording as the threaded tier's framing check.
             fail_conn(
                 conn,
-                &format!("frame of {length} bytes is outside the accepted range"),
+                &protocol(&format!(
+                    "frame of {length} bytes is outside the accepted range"
+                )),
             );
             return;
         }
         if conn.read_buf.len() < 4 + length {
             return; // partial frame; wait for more bytes
         }
-        let frame = match Frame::decode(&conn.read_buf[..4 + length]) {
-            Ok(frame) => frame,
-            Err(err) => {
-                enqueue_reply(conn, None, error_frame(&err));
-                conn.closing = true;
-                return;
+        match Frame::decode(&conn.read_buf[..4 + length]) {
+            Ok(frame) => {
+                conn.read_buf.drain(..4 + length);
+                handle_parsed(conn, frame, opened, config);
             }
-        };
-        conn.read_buf.drain(..4 + length);
-        handle_parsed(conn, frame, opened, config);
+            Err(err) => fail_conn(conn, &err),
+        }
     }
 }
 
-/// Routes one parsed frame: handshake gating, session-id validation and
-/// budget accounting, then onto the dispatch queue.
+/// Gates the handshake, then classifies each frame for its logical
+/// session and queues it for dispatch — the shared rules of
+/// [`handshake_refusal`] and [`inbound`].
 fn handle_parsed(conn: &mut Conn, frame: Frame, opened: &AtomicUsize, config: &ServiceConfig) {
-    if !conn.handshaken {
-        match frame {
-            Frame::Hello { version } if version == WIRE_VERSION => {
-                conn.handshaken = true;
-                // Root sessions count at handshake, exactly like the
-                // threaded tier (documented overshoot tolerance).
-                opened.fetch_add(1, Ordering::SeqCst);
-                conn.queued.push_back((None, Frame::Hello { version }));
-            }
-            Frame::Hello { version } => {
-                enqueue_reply(
-                    conn,
-                    None,
-                    Frame::Error {
-                        message: format!(
-                            "server speaks wire version {WIRE_VERSION}, client sent {version}"
-                        ),
-                    },
-                );
-                conn.closing = true;
-            }
-            other => {
-                enqueue_reply(
-                    conn,
-                    None,
-                    Frame::Error {
-                        message: format!(
-                            "expected Hello to open the session, got {}",
-                            other.name()
-                        ),
-                    },
-                );
-                conn.closing = true;
-            }
-        }
+    if conn.handshaken {
+        let classified = inbound(frame, &mut conn.mux_sessions, opened, config.max_sessions);
+        conn.queued.push_back(classified);
         return;
     }
-    match frame {
-        Frame::Mux { session, frame } => {
-            if session == 0 {
-                fail_conn(
-                    conn,
-                    "session id 0 is reserved for the connection's root session",
-                );
-                return;
-            }
-            if !conn.mux_sessions.contains(&session) {
-                if !claim_logical_session(opened, config.max_sessions) {
-                    enqueue_reply(
-                        conn,
-                        Some(session),
-                        error_frame(&protocol(
-                            "the server's logical session budget is exhausted",
-                        )),
-                    );
-                    return;
-                }
-                conn.mux_sessions.insert(session);
-            }
-            conn.queued.push_back((Some(session), *frame));
-        }
-        plain => conn.queued.push_back((None, plain)),
+    if let Some(refusal) = handshake_refusal(&frame) {
+        enqueue_reply(conn, None, refusal);
+        conn.closing = true;
+        return;
     }
+    conn.handshaken = true;
+    // Root sessions count at handshake, exactly like the threaded tier
+    // (documented overshoot tolerance).
+    opened.fetch_add(1, Ordering::SeqCst);
+    conn.queued.push_back((None, Inbound::Request(frame)));
 }
 
-/// Reports a connection-level protocol violation and starts closing.
-fn fail_conn(conn: &mut Conn, reason: &str) {
-    enqueue_reply(conn, None, error_frame(&protocol(reason)));
+/// Reports a connection-level framing violation and starts closing.
+fn fail_conn(conn: &mut Conn, err: &PirError) {
+    enqueue_reply(conn, None, error_frame(err));
     conn.queued.clear();
     conn.closing = true;
 }
@@ -502,62 +390,26 @@ fn enqueue_reply(conn: &mut Conn, session: Option<u32>, reply: Frame) {
     }
 }
 
-/// Forwards one request to the dispatcher without blocking.
-fn dispatch(requests: &Sender<ServiceRequest>, frame: Frame) -> Dispatch {
-    macro_rules! forward {
-        ($request:expr, $pending:expr) => {
-            match requests.try_send($request) {
-                Ok(()) => Dispatch::Pending($pending),
-                Err(TrySendError::Full(_)) => Dispatch::Overloaded,
-                Err(TrySendError::Disconnected(_)) => Dispatch::Immediate(dispatcher_gone_frame()),
-            }
-        };
+/// Forwards one request to the dispatcher without blocking: the reply to
+/// poll for, or `None` when the admission queue is full and the request
+/// is shed. A gone dispatcher drops the request with its reply sender, so
+/// the pending reply polls as the dispatcher-gone error.
+fn forward(requests: &Sender<Request>, request: Frame) -> Option<Receiver<Frame>> {
+    let (reply, pending) = bounded(1);
+    match requests.try_send((request, reply)) {
+        Err(TrySendError::Full(_)) => None,
+        Ok(()) | Err(TrySendError::Disconnected(_)) => Some(pending),
     }
-    match frame {
-        Frame::Hello { .. } => {
-            let (reply, rx) = bounded(1);
-            forward!(ServiceRequest::Info { reply }, PendingReply::Hello(rx))
-        }
-        Frame::QueryBatch { shares } => {
-            let (reply, rx) = bounded(1);
-            forward!(
-                ServiceRequest::Query { shares, reply },
-                PendingReply::Query(rx)
-            )
-        }
-        Frame::UpdateBatch { updates } => {
-            let (reply, rx) = bounded(1);
-            forward!(
-                ServiceRequest::Update { updates, reply },
-                PendingReply::Update(rx)
-            )
-        }
-        Frame::SelectorScan { selector } => {
-            let (reply, rx) = bounded(1);
-            forward!(
-                ServiceRequest::Scan { selector, reply },
-                PendingReply::Scan(rx)
-            )
-        }
-        Frame::InfoRequest => {
-            let (reply, rx) = bounded(1);
-            forward!(ServiceRequest::Info { reply }, PendingReply::Info(rx))
-        }
-        Frame::EpochInfoRequest => {
-            let (reply, rx) = bounded(1);
-            forward!(ServiceRequest::EpochInfo { reply }, PendingReply::Epoch(rx))
-        }
-        Frame::UpdateReplayRequest { from_epoch } => {
-            let (reply, rx) = bounded(1);
-            forward!(
-                ServiceRequest::Replay { from_epoch, reply },
-                PendingReply::Replay { rx, from_epoch }
-            )
-        }
-        Frame::Goodbye => Dispatch::EndSession,
-        other => Dispatch::Violation(Frame::Error {
-            message: format!("unexpected {} frame mid-session", other.name()),
-        }),
+}
+
+/// The reply frame, once the dispatcher has answered. A disconnected
+/// reply channel (the dispatcher is gone) yields the same error frame
+/// the threaded tier sends.
+fn poll(pending: &Receiver<Frame>) -> Option<Frame> {
+    match pending.try_recv() {
+        Ok(frame) => Some(frame),
+        Err(TryRecvError::Empty) => None,
+        Err(TryRecvError::Disconnected) => Some(dispatcher_gone_frame()),
     }
 }
 
@@ -565,54 +417,48 @@ fn dispatch(requests: &Sender<ServiceRequest>, frame: Frame) -> Dispatch {
 mod tests {
     use super::*;
     use crossbeam::channel::bounded as bounded_channel;
+    use impir_core::wire::WIRE_VERSION;
 
     /// The shed path, pinned deterministically: a full dispatcher queue
-    /// turns a dispatch into `Overloaded` without consuming the request,
-    /// and room in the queue turns the next dispatch back into a
-    /// forwarded request — recovery needs no reconnect.
+    /// sheds a forward without consuming the queued request,
+    /// and room in the queue turns the next forward back into a pending
+    /// reply — recovery needs no reconnect.
     #[test]
     fn full_admission_queue_sheds_and_recovers() {
-        let (requests, request_rx) = bounded_channel::<ServiceRequest>(1);
+        let (requests, request_rx) = bounded_channel::<Request>(1);
         // Fill the only admission slot; the dispatcher is "busy" (nobody
         // drains the receiver yet).
         let (reply, _keep) = bounded_channel(1);
-        requests
-            .try_send(ServiceRequest::EpochInfo { reply })
-            .unwrap();
-        assert!(matches!(
-            dispatch(&requests, Frame::InfoRequest),
-            Dispatch::Overloaded
-        ));
+        requests.try_send((Frame::EpochInfoRequest, reply)).unwrap();
+        assert!(forward(&requests, Frame::InfoRequest).is_none());
         // The queue drains: the same connection's next request forwards.
         let _ = request_rx.try_recv().unwrap();
-        assert!(matches!(
-            dispatch(&requests, Frame::InfoRequest),
-            Dispatch::Pending(PendingReply::Info(_))
-        ));
+        assert!(forward(&requests, Frame::InfoRequest).is_some());
         // A dead dispatcher is a different, non-retryable answer.
         drop(request_rx);
-        assert!(matches!(
-            dispatch(&requests, Frame::InfoRequest),
-            Dispatch::Immediate(Frame::Error { .. })
-        ));
+        let gone = forward(&requests, Frame::InfoRequest).expect("not shed");
+        assert!(matches!(poll(&gone), Some(Frame::Error { .. })));
     }
 
     #[test]
     fn goodbye_and_server_only_frames_classify_correctly() {
-        let (requests, _rx) = bounded_channel::<ServiceRequest>(4);
+        let opened = AtomicUsize::new(0);
+        let mut mux_sessions = HashSet::new();
+        let mut classify = |frame| inbound(frame, &mut mux_sessions, &opened, None);
+        assert!(matches!(classify(Frame::Goodbye), (None, Inbound::Goodbye)));
+        // A reply-direction frame from a client is a protocol violation,
+        // and so is a second Hello after the handshake.
         assert!(matches!(
-            dispatch(&requests, Frame::Goodbye),
-            Dispatch::EndSession
+            classify(Frame::Overloaded {
+                retry_after_ms: OVERLOAD_RETRY_MS
+            }),
+            (None, Inbound::Violation(Frame::Error { .. }))
         ));
-        // A reply-direction frame from a client is a protocol violation.
         assert!(matches!(
-            dispatch(
-                &requests,
-                Frame::Overloaded {
-                    retry_after_ms: OVERLOAD_RETRY_MS
-                }
-            ),
-            Dispatch::Violation(Frame::Error { .. })
+            classify(Frame::Hello {
+                version: WIRE_VERSION
+            }),
+            (None, Inbound::Violation(Frame::Error { .. }))
         ));
     }
 }

@@ -12,14 +12,20 @@
 //!   non-blocking readiness loop — thread count stays constant no matter
 //!   how many sessions connect. Both tiers speak the same
 //!   [`impir_core::wire`] format (handshake, then request/response
-//!   frames) and produce byte-identical replies;
+//!   frames);
 //! * both tiers understand **session multiplexing**
 //!   ([`impir_core::wire::Frame::Mux`]): many logical sessions share one
 //!   TCP connection, each request/reply pair tagged with a session id.
 //!   Plain frames belong to the connection's root session, so v1 clients
 //!   work unchanged;
-//! * sessions forward their requests to one **dispatcher thread** that
-//!   owns the engine. Query batches from *concurrently active sessions*
+//! * the **frame is the contract** between the tiers and the code that
+//!   answers: both tiers gate the handshake and classify every later
+//!   frame (request, `Goodbye` or protocol violation, per logical
+//!   session) through the same two functions, then forward each request
+//!   frame to one **dispatcher thread** that owns the engine and builds
+//!   every reply frame, `HelloAck` included — so the tiers answer
+//!   byte-identically by construction, and each request kind is handled
+//!   in exactly one place. Query batches from *concurrently active sessions*
 //!   are coalesced into one engine wave — the merged batch flows through
 //!   the engine's existing bounded admission queue, so cross-session
 //!   batching inherits the §3.4 pipeline (and its backpressure) instead
@@ -51,7 +57,9 @@
 //! `impir-server` binary's classic flags desugar into the same topology
 //! value (see [`cli`]), so there is exactly one construction path. The
 //! [`router`] module adds the front tier that spreads client sessions
-//! over a topology's replicas.
+//! over a topology's replicas; its client connections run the threaded
+//! tier's session loop with a forwarding responder in place of the
+//! dispatcher.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,6 +68,7 @@ pub mod cli;
 pub mod events;
 pub mod router;
 
+use std::collections::HashSet;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -67,18 +76,17 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
-use impir_core::batch::{UpdatableBackend, UpdateOutcome};
+use impir_core::batch::UpdatableBackend;
 use impir_core::database::Database;
 use impir_core::engine::QueryEngine;
 use impir_core::rebalance::{RebalanceConfig, RebalancePlanner};
 use impir_core::server::phases::PhaseBreakdown;
 use impir_core::topology::{FleetTopology, RebalanceMode, SessionTier};
-use impir_core::transport::{EpochInfo, ScanResult, ServerInfo};
+use impir_core::transport::ServerInfo;
 use impir_core::wire::{
     update_batch_frame_bytes, Frame, FRAME_HEADER_BYTES, MAX_FRAME_BYTES, WIRE_VERSION,
 };
-use impir_core::{PirError, QueryShare, ServerResponse, UpdateBatch};
-use impir_dpf::SelectorVector;
+use impir_core::{PirError, QueryShare, UpdateBatch};
 
 /// Configuration of a [`PirService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -295,40 +303,9 @@ const POLL_INTERVAL: Duration = Duration::from_millis(50);
 /// the frame tag, the batch-count prefix, and at least one tiny batch.
 pub const MIN_REPLAY_FRAME_BYTES: usize = 64;
 
-/// The dispatcher's answer to one session's query batch.
-pub(crate) struct QueryReply {
-    epoch: u64,
-    wall_seconds: f64,
-    phases: PhaseBreakdown,
-    responses: Vec<ServerResponse>,
-}
-
-/// A session's request to the dispatcher. Replies travel over a dedicated
-/// bounded channel per request.
-pub(crate) enum ServiceRequest {
-    Query {
-        shares: Vec<QueryShare>,
-        reply: Sender<Result<QueryReply, PirError>>,
-    },
-    Scan {
-        selector: SelectorVector,
-        reply: Sender<Result<ScanResult, PirError>>,
-    },
-    Update {
-        updates: Vec<(u64, Vec<u8>)>,
-        reply: Sender<Result<UpdateOutcome, PirError>>,
-    },
-    Info {
-        reply: Sender<ServerInfo>,
-    },
-    EpochInfo {
-        reply: Sender<EpochInfo>,
-    },
-    Replay {
-        from_epoch: u64,
-        reply: Sender<Result<Vec<UpdateBatch>, PirError>>,
-    },
-}
+/// One request on its way to the dispatcher: the request frame and where
+/// its reply frame goes (a dedicated bounded channel per request).
+pub(crate) type Request = (Frame, Sender<Frame>);
 
 /// A running PIR server: accept loop, session threads and the dispatcher
 /// that owns the engine. Dropping the handle shuts the service down.
@@ -428,17 +405,21 @@ impl PirService {
         // Bounded admission: threaded sessions block on a full queue, the
         // event tier sheds with an `Overloaded` refusal instead — either
         // way overload never buffers requests without bound.
-        let (requests, request_rx) = bounded::<ServiceRequest>(config.admission_capacity);
+        let (requests, request_rx) = bounded::<Request>(config.admission_capacity);
         let plan = engine.plan().clone();
 
-        let coalesce_limit = config.coalesce_limit;
         let dispatcher_handle = std::thread::spawn(move || {
-            dispatcher_loop(engine, &request_rx, coalesce_limit, rebalancer);
+            dispatcher_loop(engine, &request_rx, config, rebalancer);
         });
 
+        // Each threaded session gets its own clone of the request sender;
+        // the master clone drops with this thread, so the dispatcher ends
+        // exactly when the last session has.
         let accept_shutdown = Arc::clone(&shutdown);
         let accept_handle = std::thread::spawn(move || match config.session_tier {
-            SessionTier::Threads => accept_loop(&listener, &requests, &accept_shutdown, config),
+            SessionTier::Threads => {
+                accept_loop(&listener, &accept_shutdown, config, || requests.clone());
+            }
             SessionTier::Events => {
                 events::event_loop(&listener, &requests, &accept_shutdown, config);
             }
@@ -505,15 +486,36 @@ impl Drop for PirService {
     }
 }
 
+/// What answers a session's request frames: the dispatcher on a replica,
+/// the pinned replica leg on a router. It answers the opening `Hello`
+/// too, with `HelloAck` or a refusal.
+pub(crate) trait Responder {
+    /// The reply frame to `request`.
+    fn respond(&mut self, request: Frame) -> Frame;
+}
+
+/// A threaded session's responder: send the request to the dispatcher,
+/// then **block** for its reply. The event tier forwards the same frames
+/// without blocking (see [`events`]); both tiers receive the reply frames
+/// the dispatcher built, so they answer byte-identically.
+impl Responder for Sender<Request> {
+    fn respond(&mut self, request: Frame) -> Frame {
+        let (reply, replies) = bounded(1);
+        if self.send((request, reply)).is_err() {
+            return dispatcher_gone_frame();
+        }
+        replies.recv().unwrap_or_else(|_| dispatcher_gone_frame())
+    }
+}
+
 /// Accepts connections until shutdown (or the session budget is spent),
-/// then joins every session it spawned. Each session gets its own clone of
-/// the request sender; the master clone drops with this function, so the
-/// dispatcher ends exactly when the last session has.
-fn accept_loop(
+/// then joins every session it spawned. Each session thread serves its
+/// connection with a fresh responder from `responder`.
+pub(crate) fn accept_loop<R: Responder + Send + 'static>(
     listener: &TcpListener,
-    requests: &Sender<ServiceRequest>,
     shutdown: &Arc<AtomicBool>,
     config: ServiceConfig,
+    mut responder: impl FnMut() -> R,
 ) {
     let mut sessions: Vec<std::thread::JoinHandle<()>> = Vec::new();
     // The session budget counts *logical* sessions — handshaken root
@@ -529,13 +531,13 @@ fn accept_loop(
         }
         match listener.accept() {
             Ok((stream, _peer)) => {
-                let session_requests = requests.clone();
+                let session_responder = responder();
                 let session_shutdown = Arc::clone(shutdown);
                 let session_handshaken = Arc::clone(&handshaken);
                 sessions.push(std::thread::spawn(move || {
                     session_loop(
                         stream,
-                        &session_requests,
+                        session_responder,
                         &session_shutdown,
                         &session_handshaken,
                         config,
@@ -568,12 +570,13 @@ fn accept_loop(
     }
 }
 
-/// Owns the engine: serialises updates against queries and coalesces
-/// concurrently pending query batches into single engine waves.
+/// Owns the engine and answers every request frame: serialises updates
+/// against queries, coalesces concurrently pending query batches into
+/// single engine waves, and builds each reply frame.
 fn dispatcher_loop<S: UpdatableBackend + Send + Sync>(
     mut engine: QueryEngine<S>,
-    requests: &Receiver<ServiceRequest>,
-    coalesce_limit: usize,
+    requests: &Receiver<Request>,
+    config: ServiceConfig,
     mut rebalancer: Option<RebalancePolicy<S>>,
 ) {
     loop {
@@ -581,61 +584,125 @@ fn dispatcher_loop<S: UpdatableBackend + Send + Sync>(
             break; // every session (and the accept loop) has hung up
         };
         let mut pending = Some(request);
-        while let Some(request) = pending.take() {
-            match request {
-                ServiceRequest::Query { shares, reply } => {
-                    // Merge whatever other sessions have already queued —
-                    // never waiting — so concurrent sessions share one
-                    // trip through the engine's admission queue.
-                    let mut wave = vec![(shares, reply)];
-                    while wave.len() < coalesce_limit {
-                        match requests.try_recv() {
-                            Ok(ServiceRequest::Query { shares, reply }) => {
-                                wave.push((shares, reply));
-                            }
-                            Ok(other) => {
-                                // Anything else (an update, say) ends the
-                                // wave; it executes right after, strictly
-                                // ordered against it.
-                                pending = Some(other);
-                                break;
-                            }
-                            Err(_) => break,
-                        }
+        while let Some((frame, reply)) = pending.take() {
+            let Frame::QueryBatch { shares } = frame else {
+                let _ = reply.send(answer(&mut engine, frame, config.max_replay_frame_bytes));
+                continue;
+            };
+            // Merge whatever other sessions have already queued — never
+            // waiting — so concurrent sessions share one trip through the
+            // engine's admission queue.
+            let mut wave = vec![(shares, reply)];
+            while wave.len() < config.coalesce_limit {
+                match requests.try_recv() {
+                    Ok((Frame::QueryBatch { shares }, reply)) => wave.push((shares, reply)),
+                    Ok(other) => {
+                        // Anything else (an update, say) ends the wave; it
+                        // executes right after, strictly ordered against it.
+                        pending = Some(other);
+                        break;
                     }
-                    execute_wave(&mut engine, wave);
-                    // Between waves — with the engine otherwise idle — is
-                    // the only moment the dispatcher rebalances: queries
-                    // and updates stay strictly serialized against the
-                    // plan swap.
-                    maybe_rebalance(&mut engine, &mut rebalancer);
-                }
-                ServiceRequest::Scan { selector, reply } => {
-                    let result =
-                        engine
-                            .scan_selector(&selector)
-                            .map(|(payload, phases)| ScanResult {
-                                payload,
-                                epoch: engine.database_epoch(),
-                                phases,
-                            });
-                    let _ = reply.send(result);
-                }
-                ServiceRequest::Update { updates, reply } => {
-                    let _ = reply.send(engine.apply_updates(&updates));
-                }
-                ServiceRequest::Info { reply } => {
-                    let _ = reply.send(info_of(&engine));
-                }
-                ServiceRequest::EpochInfo { reply } => {
-                    let _ = reply.send(engine.epoch_info());
-                }
-                ServiceRequest::Replay { from_epoch, reply } => {
-                    let _ = reply.send(engine.replay_updates(from_epoch));
+                    Err(_) => break,
                 }
             }
+            execute_wave(&mut engine, wave);
+            // Between waves — with the engine otherwise idle — is the only
+            // moment the dispatcher rebalances: queries and updates stay
+            // strictly serialized against the plan swap.
+            maybe_rebalance(&mut engine, &mut rebalancer);
         }
     }
+}
+
+/// The reply frame to every request but a query batch (those run in
+/// waves, see [`execute_wave`]).
+fn answer<S: UpdatableBackend + Send + Sync>(
+    engine: &mut QueryEngine<S>,
+    request: Frame,
+    max_replay_frame_bytes: usize,
+) -> Frame {
+    let result = match request {
+        // Sessions forward only a `Hello` in this build's wire version.
+        Frame::Hello { .. } => Ok(Frame::HelloAck {
+            version: WIRE_VERSION,
+            info: info_of(engine),
+        }),
+        Frame::InfoRequest => Ok(Frame::Info {
+            info: info_of(engine),
+        }),
+        Frame::EpochInfoRequest => Ok(Frame::EpochInfo {
+            info: engine.epoch_info(),
+        }),
+        Frame::SelectorScan { selector } => {
+            engine
+                .scan_selector(&selector)
+                .map(|(payload, phases)| Frame::SelectorResult {
+                    epoch: engine.database_epoch(),
+                    payload,
+                    phases,
+                })
+        }
+        Frame::UpdateBatch { updates } => engine
+            .apply_updates(&updates)
+            .map(|outcome| Frame::UpdateAck { outcome }),
+        Frame::UpdateReplayRequest { from_epoch } => engine
+            .replay_updates(from_epoch)
+            .and_then(|batches| replay_frame(batches, from_epoch, max_replay_frame_bytes)),
+        other => Err(protocol(&format!("unexpected {} request", other.name()))),
+    };
+    match result {
+        Ok(reply) => reply,
+        // A truncated journal is an expected, *typed* outcome the client
+        // resolves (fail-closed resync error) — it gets its own frame so
+        // the transport can rebuild the typed error, unlike free-form
+        // `Error` frames.
+        Err(PirError::JournalTruncated {
+            from_epoch,
+            oldest_replayable,
+            current_epoch,
+        }) => Frame::JournalTruncated {
+            from_epoch,
+            oldest_replayable,
+            current_epoch,
+        },
+        Err(err) => error_frame(&err),
+    }
+}
+
+/// The `UpdateReplay` reply to a journal replay, bounded by
+/// `max_replay_frame_bytes`.
+fn replay_frame(
+    batches: Vec<UpdateBatch>,
+    from_epoch: u64,
+    max_replay_frame_bytes: usize,
+) -> Result<Frame, PirError> {
+    // A reply frame obeys the same size bound as every other frame, but a
+    // fully-retained lag can hold more batch bytes than one frame fits
+    // (each journalled batch may itself have arrived near the bound).
+    // Send the longest prefix of the replay that fits; the client advances
+    // its requested epoch past the batches it received and asks again
+    // until caught up.
+    let total = batches.len();
+    let mut body = 4usize; // the batch-count prefix
+    let mut taken: Vec<UpdateBatch> = Vec::new();
+    for batch in batches {
+        let batch_body = update_batch_frame_bytes(&batch) - FRAME_HEADER_BYTES;
+        if 1 + body + batch_body > max_replay_frame_bytes {
+            break;
+        }
+        body += batch_body;
+        taken.push(batch);
+    }
+    if taken.is_empty() && total > 0 {
+        // Never degrade this to an empty reply: the client reads empty as
+        // "caught up" and would silently stay lagging.
+        return Err(protocol(&format!(
+            "replay from epoch {from_epoch} cannot proceed: the next journalled batch alone \
+             exceeds the replay frame bound of {max_replay_frame_bytes} bytes; re-seed the \
+             lagging replica from a current snapshot"
+        )));
+    }
+    Ok(Frame::UpdateReplay { batches: taken })
 }
 
 /// Plans from the last wave's measured per-shard timings and executes any
@@ -669,7 +736,7 @@ fn info_of<S: UpdatableBackend + Send + Sync>(engine: &QueryEngine<S>) -> Server
     }
 }
 
-type SessionBatch = (Vec<QueryShare>, Sender<Result<QueryReply, PirError>>);
+type SessionBatch = (Vec<QueryShare>, Sender<Frame>);
 
 /// Runs one merged wave of query batches through the engine and routes
 /// each session's slice of the responses back to it.
@@ -687,7 +754,7 @@ fn execute_wave<S: UpdatableBackend + Send + Sync>(
             .find(|share| share.key.domain_bits() != domain_bits)
         {
             Some(bad) => {
-                let _ = reply.send(Err(PirError::QueryDomainMismatch {
+                let _ = reply.send(error_frame(&PirError::QueryDomainMismatch {
                     key_domain_bits: bad.key.domain_bits(),
                     database_domain_bits: domain_bits,
                 }));
@@ -716,21 +783,20 @@ fn execute_wave<S: UpdatableBackend + Send + Sync>(
     if total_queries == 0 {
         // All-empty batches short-circuit: 0/0 below would attribute NaN
         // costs to the sessions.
-        let epoch = engine.database_epoch();
         for (_, reply) in &admitted {
-            let _ = reply.send(Ok(QueryReply {
-                epoch,
+            let _ = reply.send(Frame::ResponseBatch {
+                epoch: engine.database_epoch(),
                 wall_seconds: 0.0,
                 phases: PhaseBreakdown::zero(),
                 responses: Vec::new(),
-            }));
+            });
         }
         return;
     }
     match engine.execute_batch(batch) {
         Err(err) => {
             for (_, reply) in &admitted {
-                let _ = reply.send(Err(err.clone()));
+                let _ = reply.send(error_frame(&err));
             }
         }
         Ok(outcome) => {
@@ -743,13 +809,12 @@ fn execute_wave<S: UpdatableBackend + Send + Sync>(
                 // coalesced work (and summing across sessions recovers the
                 // wave's true totals).
                 let fraction = *count as f64 / total_queries as f64;
-                let slice: Vec<ServerResponse> = responses.by_ref().take(*count).collect();
-                let _ = reply.send(Ok(QueryReply {
+                let _ = reply.send(Frame::ResponseBatch {
                     epoch,
                     wall_seconds: outcome.wall_seconds * fraction,
                     phases: outcome.phase_totals.scaled(fraction),
-                    responses: slice,
-                }));
+                    responses: responses.by_ref().take(*count).collect(),
+                });
             }
         }
     }
@@ -846,7 +911,7 @@ fn write_full(stream: &mut TcpStream, bytes: &[u8], shutdown: &AtomicBool) -> Re
 }
 
 /// Encodes and sends one frame through [`write_full`].
-pub(crate) fn write_session_frame(
+fn write_session_frame(
     stream: &mut TcpStream,
     frame: &Frame,
     shutdown: &AtomicBool,
@@ -857,7 +922,7 @@ pub(crate) fn write_session_frame(
 
 /// Reads one frame, polling for shutdown between (not within) frames.
 /// `Ok(None)` means the session ended cleanly (disconnect or shutdown).
-pub(crate) fn read_session_frame(
+fn read_session_frame(
     stream: &mut TcpStream,
     shutdown: &AtomicBool,
 ) -> Result<Option<Frame>, PirError> {
@@ -881,14 +946,14 @@ pub(crate) fn read_session_frame(
     Frame::decode(&full).map(Some)
 }
 
-/// One client connection: handshake, then request frames until the client
-/// hangs up, says goodbye, violates the protocol, or the service stops.
-/// Multiplexed frames ([`Frame::Mux`]) carry requests for *logical*
-/// sessions sharing this connection: the inner request is handled exactly
-/// like a plain one and its reply re-wrapped with the same session id.
-fn session_loop(
+/// One client connection on the threaded tier (and the router): the
+/// handshake, then request frames until the client hangs up, says
+/// goodbye, violates the protocol, or the service stops. Every request —
+/// plain, or multiplexed for a logical session ([`Frame::Mux`]) — goes to
+/// `responder`, and its reply returns on the session it came from.
+fn session_loop<R: Responder>(
     mut stream: TcpStream,
-    requests: &Sender<ServiceRequest>,
+    mut responder: R,
     shutdown: &AtomicBool,
     handshaken: &AtomicUsize,
     config: ServiceConfig,
@@ -896,11 +961,16 @@ fn session_loop(
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(config.io_timeout));
     let _ = stream.set_write_timeout(Some(config.io_timeout));
-    if handshake(&mut stream, requests, shutdown).is_err() {
+    let Ok(Some(first)) = read_session_frame(&mut stream, shutdown) else {
+        return;
+    };
+    let ack = handshake_refusal(&first).unwrap_or_else(|| responder.respond(first));
+    let opened = matches!(ack, Frame::HelloAck { .. });
+    if write_session_frame(&mut stream, &ack, shutdown).is_err() || !opened {
         return;
     }
     handshaken.fetch_add(1, Ordering::SeqCst);
-    let mut mux_sessions: std::collections::HashSet<u32> = std::collections::HashSet::new();
+    let mut mux_sessions = HashSet::new();
     loop {
         let frame = match read_session_frame(&mut stream, shutdown) {
             Ok(Some(frame)) => frame,
@@ -912,54 +982,18 @@ fn session_loop(
                 return;
             }
         };
-        let (session, frame) = match frame {
-            Frame::Mux { session, frame } => {
-                if session == 0 {
-                    // Session id 0 *is* the root session — it speaks plain
-                    // frames; a Mux wrapper claiming it is hostile input.
-                    let _ = write_session_frame(
-                        &mut stream,
-                        &error_frame(&protocol(
-                            "session id 0 is reserved for the connection's root session",
-                        )),
-                        shutdown,
-                    );
-                    return;
-                }
-                if !mux_sessions.contains(&session) {
-                    if !claim_logical_session(handshaken, config.max_sessions) {
-                        // The budget refusal is scoped to the new logical
-                        // session: its co-tenants on this connection keep
-                        // working.
-                        let refusal = Frame::Mux {
-                            session,
-                            frame: Box::new(error_frame(&protocol(
-                                "the server's logical session budget is exhausted",
-                            ))),
-                        };
-                        if write_session_frame(&mut stream, &refusal, shutdown).is_err() {
-                            return;
-                        }
-                        continue;
-                    }
-                    mux_sessions.insert(session);
-                }
-                (Some(session), *frame)
-            }
-            plain => (None, plain),
-        };
-        let reply = match blocking_reply(requests, frame, config.max_replay_frame_bytes) {
-            SessionReply::Reply(reply) => reply,
-            SessionReply::Violation(reply) => {
+        let (session, inbound) = inbound(frame, &mut mux_sessions, handshaken, config.max_sessions);
+        let reply = match inbound {
+            Inbound::Request(request) => responder.respond(request),
+            Inbound::Refusal(reply) => reply,
+            Inbound::Violation(reply) => {
                 let _ = write_session_frame(&mut stream, &wrap(session, reply), shutdown);
                 return;
             }
-            SessionReply::End => match session {
-                // A muxed Goodbye closes only that logical session; the
-                // connection (and its other sessions) lives on.
-                Some(_) => continue,
-                None => return,
-            },
+            // A muxed Goodbye closes only that logical session; the
+            // connection (and its other sessions) lives on.
+            Inbound::Goodbye if session.is_some() => continue,
+            Inbound::Goodbye => return,
         };
         if write_session_frame(&mut stream, &wrap(session, reply), shutdown).is_err() {
             return; // the write side failed; nothing more we can do
@@ -967,9 +1001,92 @@ fn session_loop(
     }
 }
 
-/// Re-wraps a reply for the logical session its request arrived on: plain
+/// Gates a connection's first frame, on every tier: the `Error` frame it
+/// earns — after which the connection closes — unless it is a `Hello` in
+/// this build's wire version. That `Hello` opens the root session and
+/// goes to the responder, which answers `HelloAck`.
+pub(crate) fn handshake_refusal(first: &Frame) -> Option<Frame> {
+    let message = match first {
+        Frame::Hello { version } if *version == WIRE_VERSION => return None,
+        Frame::Hello { version } => {
+            format!("server speaks wire version {WIRE_VERSION}, client sent {version}")
+        }
+        other => format!("expected Hello to open the session, got {}", other.name()),
+    };
+    Some(Frame::Error { message })
+}
+
+/// What one post-handshake frame asks of its connection.
+#[derive(Debug)]
+pub(crate) enum Inbound {
+    /// A request to answer.
+    Request(Frame),
+    /// The session said `Goodbye`: a root `Goodbye` closes the
+    /// connection, a muxed one only its logical session.
+    Goodbye,
+    /// Send this reply, then close the connection: the client violated
+    /// the protocol (a `Hello` mid-session, a server-only frame, the
+    /// reserved session id 0).
+    Violation(Frame),
+    /// Send this reply; the connection stays open (a multiplexed session
+    /// refused past the session budget).
+    Refusal(Frame),
+}
+
+/// Classifies one post-handshake frame the same way on every tier: which
+/// logical session it belongs to (`None` = the root session) and what it
+/// asks. A multiplexed session id seen for the first time claims one
+/// session from the budget (`opened` against `limit`).
+pub(crate) fn inbound(
+    frame: Frame,
+    mux_sessions: &mut HashSet<u32>,
+    opened: &AtomicUsize,
+    limit: Option<usize>,
+) -> (Option<u32>, Inbound) {
+    let (session, frame) = match frame {
+        // Session id 0 *is* the root session — it speaks plain frames; a
+        // Mux wrapper claiming it is hostile input.
+        Frame::Mux { session: 0, .. } => {
+            return (
+                None,
+                Inbound::Violation(error_frame(&protocol(
+                    "session id 0 is reserved for the connection's root session",
+                ))),
+            );
+        }
+        Frame::Mux { session, frame } => {
+            if !mux_sessions.contains(&session) {
+                if !claim_logical_session(opened, limit) {
+                    // The budget refusal is scoped to the new logical
+                    // session: its co-tenants on this connection keep
+                    // working.
+                    return (
+                        Some(session),
+                        Inbound::Refusal(error_frame(&protocol(
+                            "the server's logical session budget is exhausted",
+                        ))),
+                    );
+                }
+                mux_sessions.insert(session);
+            }
+            (Some(session), *frame)
+        }
+        plain => (None, plain),
+    };
+    let inbound = match frame {
+        Frame::Goodbye => Inbound::Goodbye,
+        request if request.is_request() => Inbound::Request(request),
+        // A nested Mux can never reach here — the decoder rejects it.
+        other => Inbound::Violation(Frame::Error {
+            message: format!("unexpected {} frame mid-session", other.name()),
+        }),
+    };
+    (session, inbound)
+}
+
+/// Wraps a reply for the logical session its request arrived on: plain
 /// for the root session, muxed with the same id otherwise.
-fn wrap(session: Option<u32>, reply: Frame) -> Frame {
+pub(crate) fn wrap(session: Option<u32>, reply: Frame) -> Frame {
     match session {
         None => reply,
         Some(session) => Frame::Mux {
@@ -983,7 +1100,7 @@ fn wrap(session: Option<u32>, reply: Frame) -> Frame {
 /// count at handshake (which may overshoot, documented on
 /// [`ServiceConfig::max_sessions`]), multiplexed sessions are claimed
 /// exactly: past the budget the claim fails and the session is refused.
-pub(crate) fn claim_logical_session(opened: &AtomicUsize, limit: Option<usize>) -> bool {
+fn claim_logical_session(opened: &AtomicUsize, limit: Option<usize>) -> bool {
     match limit {
         None => {
             opened.fetch_add(1, Ordering::SeqCst);
@@ -1001,255 +1118,9 @@ pub(crate) fn claim_logical_session(opened: &AtomicUsize, limit: Option<usize>) 
     }
 }
 
-/// Expects the client's `Hello`, answers `HelloAck` (or an `Error` frame
-/// on version/magic mismatch).
-fn handshake(
-    stream: &mut TcpStream,
-    requests: &Sender<ServiceRequest>,
-    shutdown: &AtomicBool,
-) -> Result<(), PirError> {
-    let frame = match read_session_frame(stream, shutdown)? {
-        Some(frame) => frame,
-        None => return Err(protocol("client left before the handshake")),
-    };
-    match frame {
-        Frame::Hello { version } if version == WIRE_VERSION => {
-            let info = request_info(requests)?;
-            write_session_frame(
-                stream,
-                &Frame::HelloAck {
-                    version: WIRE_VERSION,
-                    info,
-                },
-                shutdown,
-            )?;
-            Ok(())
-        }
-        Frame::Hello { version } => {
-            let _ = write_session_frame(
-                stream,
-                &Frame::Error {
-                    message: format!(
-                        "server speaks wire version {WIRE_VERSION}, client sent {version}"
-                    ),
-                },
-                shutdown,
-            );
-            Err(protocol("handshake version mismatch"))
-        }
-        other => {
-            let _ = write_session_frame(
-                stream,
-                &Frame::Error {
-                    message: format!("expected Hello to open the session, got {}", other.name()),
-                },
-                shutdown,
-            );
-            Err(protocol("handshake violation"))
-        }
-    }
-}
-
 pub(crate) fn protocol(reason: &str) -> PirError {
     PirError::Protocol {
         reason: reason.to_string(),
-    }
-}
-
-fn request_info(requests: &Sender<ServiceRequest>) -> Result<ServerInfo, PirError> {
-    let (reply, replies) = bounded(1);
-    requests
-        .send(ServiceRequest::Info { reply })
-        .map_err(|_| protocol("service dispatcher is gone"))?;
-    replies
-        .recv()
-        .map_err(|_| protocol("service dispatcher is gone"))
-}
-
-/// The outcome of handling one request frame on a session.
-pub(crate) enum SessionReply {
-    /// Send this reply; the session continues.
-    Reply(Frame),
-    /// Send this reply, then close the connection: the client violated
-    /// the protocol (a `Hello` mid-session, a server-only frame).
-    Violation(Frame),
-    /// The client said `Goodbye`: close the session, nothing to send.
-    End,
-}
-
-/// Handles one request frame on the threaded tier: forwards it to the
-/// dispatcher, **blocks** for the reply and returns the reply frame. The
-/// event tier handles the same frames without blocking (see [`events`])
-/// but builds its replies from the same `*_frame` constructors below, so
-/// both tiers answer byte-identically.
-pub(crate) fn blocking_reply(
-    requests: &Sender<ServiceRequest>,
-    frame: Frame,
-    max_replay_frame_bytes: usize,
-) -> SessionReply {
-    match frame {
-        Frame::QueryBatch { shares } => {
-            let (reply, replies) = bounded(1);
-            if requests
-                .send(ServiceRequest::Query { shares, reply })
-                .is_err()
-            {
-                return SessionReply::Reply(dispatcher_gone_frame());
-            }
-            SessionReply::Reply(match replies.recv() {
-                Ok(result) => query_reply_frame(result),
-                Err(_) => dispatcher_gone_frame(),
-            })
-        }
-        Frame::UpdateBatch { updates } => {
-            let (reply, replies) = bounded(1);
-            if requests
-                .send(ServiceRequest::Update { updates, reply })
-                .is_err()
-            {
-                return SessionReply::Reply(dispatcher_gone_frame());
-            }
-            SessionReply::Reply(match replies.recv() {
-                Ok(result) => update_ack_frame(result),
-                Err(_) => dispatcher_gone_frame(),
-            })
-        }
-        Frame::SelectorScan { selector } => {
-            let (reply, replies) = bounded(1);
-            if requests
-                .send(ServiceRequest::Scan { selector, reply })
-                .is_err()
-            {
-                return SessionReply::Reply(dispatcher_gone_frame());
-            }
-            SessionReply::Reply(match replies.recv() {
-                Ok(result) => scan_result_frame(result),
-                Err(_) => dispatcher_gone_frame(),
-            })
-        }
-        Frame::InfoRequest => SessionReply::Reply(match request_info(requests) {
-            Ok(info) => Frame::Info { info },
-            Err(_) => dispatcher_gone_frame(),
-        }),
-        Frame::EpochInfoRequest => {
-            let (reply, replies) = bounded(1);
-            if requests.send(ServiceRequest::EpochInfo { reply }).is_err() {
-                return SessionReply::Reply(dispatcher_gone_frame());
-            }
-            SessionReply::Reply(match replies.recv() {
-                Ok(info) => Frame::EpochInfo { info },
-                Err(_) => dispatcher_gone_frame(),
-            })
-        }
-        Frame::UpdateReplayRequest { from_epoch } => {
-            let (reply, replies) = bounded(1);
-            if requests
-                .send(ServiceRequest::Replay { from_epoch, reply })
-                .is_err()
-            {
-                return SessionReply::Reply(dispatcher_gone_frame());
-            }
-            SessionReply::Reply(match replies.recv() {
-                Ok(result) => replay_reply_frame(result, from_epoch, max_replay_frame_bytes),
-                Err(_) => dispatcher_gone_frame(),
-            })
-        }
-        Frame::Goodbye => SessionReply::End,
-        other => {
-            // Hello mid-session or a server-only frame: protocol
-            // violation, close after reporting. (A nested Mux can never
-            // reach here — the decoder rejects it.)
-            SessionReply::Violation(Frame::Error {
-                message: format!("unexpected {} frame mid-session", other.name()),
-            })
-        }
-    }
-}
-
-/// The reply frame for a query batch's dispatcher result.
-pub(crate) fn query_reply_frame(result: Result<QueryReply, PirError>) -> Frame {
-    match result {
-        Ok(answer) => Frame::ResponseBatch {
-            epoch: answer.epoch,
-            wall_seconds: answer.wall_seconds,
-            phases: answer.phases,
-            responses: answer.responses,
-        },
-        Err(err) => error_frame(&err),
-    }
-}
-
-/// The reply frame for an update batch's dispatcher result.
-pub(crate) fn update_ack_frame(result: Result<UpdateOutcome, PirError>) -> Frame {
-    match result {
-        Ok(outcome) => Frame::UpdateAck { outcome },
-        Err(err) => error_frame(&err),
-    }
-}
-
-/// The reply frame for a selector scan's dispatcher result.
-pub(crate) fn scan_result_frame(result: Result<ScanResult, PirError>) -> Frame {
-    match result {
-        Ok(scan) => Frame::SelectorResult {
-            epoch: scan.epoch,
-            payload: scan.payload,
-            phases: scan.phases,
-        },
-        Err(err) => error_frame(&err),
-    }
-}
-
-/// The reply frame for a journal replay's dispatcher result.
-pub(crate) fn replay_reply_frame(
-    result: Result<Vec<UpdateBatch>, PirError>,
-    from_epoch: u64,
-    max_replay_frame_bytes: usize,
-) -> Frame {
-    match result {
-        Ok(batches) => {
-            // A reply frame obeys the same size bound as every other
-            // frame, but a fully-retained lag can hold more batch bytes
-            // than one frame fits (each journalled batch may itself have
-            // arrived near the bound). Send the longest prefix of the
-            // replay that fits; the client advances its requested epoch
-            // past the batches it received and asks again until caught up.
-            let total = batches.len();
-            let mut body = 4usize; // the batch-count prefix
-            let mut taken: Vec<UpdateBatch> = Vec::new();
-            for batch in batches {
-                let batch_body = update_batch_frame_bytes(&batch) - FRAME_HEADER_BYTES;
-                if 1 + body + batch_body > max_replay_frame_bytes {
-                    break;
-                }
-                body += batch_body;
-                taken.push(batch);
-            }
-            if taken.is_empty() && total > 0 {
-                // Never degrade this to an empty reply: the client reads
-                // empty as "caught up" and would silently stay lagging.
-                return error_frame(&protocol(&format!(
-                    "replay from epoch {from_epoch} cannot proceed: the next journalled \
-                     batch alone exceeds the replay frame bound of \
-                     {max_replay_frame_bytes} bytes; re-seed the lagging replica from a \
-                     current snapshot"
-                )));
-            }
-            Frame::UpdateReplay { batches: taken }
-        }
-        // A truncated journal is an expected, *typed* outcome the client
-        // resolves (fail-closed resync error) — it gets its own frame so
-        // the transport can rebuild the typed error, unlike free-form
-        // `Error` frames.
-        Err(PirError::JournalTruncated {
-            from_epoch,
-            oldest_replayable,
-            current_epoch,
-        }) => Frame::JournalTruncated {
-            from_epoch,
-            oldest_replayable,
-            current_epoch,
-        },
-        Err(err) => error_frame(&err),
     }
 }
 
@@ -1274,6 +1145,7 @@ mod tests {
     use impir_core::shard::ShardedDatabase;
     use impir_core::transport::{PirTransport, TcpTransport};
     use impir_core::PirClient;
+    use impir_dpf::SelectorVector;
 
     fn cpu_engine(db: &Arc<Database>, shards: usize) -> QueryEngine<CpuPirServer> {
         let sharded = ShardedDatabase::uniform(db.clone(), shards).unwrap();

@@ -2,11 +2,17 @@
 //!
 //! [`PirRouter`] speaks the ordinary client-side [`impir_core::wire`]
 //! protocol on its listen address — a client cannot tell a router from a
-//! replica — and forwards every session's frames to one of the topology's
-//! replicas over a **shared multiplexed connection per replica**
+//! replica. Its client connections run the threaded tier's own accept and
+//! session loops (handshake gate, frame classification, multiplexed
+//! sessions), with a per-connection responder in place of the
+//! dispatcher. The responder forwards each request frame **verbatim** to
+//! one of the topology's replicas and returns the replica's reply frame
+//! untouched, over a **shared multiplexed connection per replica**
 //! ([`MuxConnection`]): every client session, health probe and catch-up
 //! replay to the same replica rides one TCP connection as its own
-//! logical [`MuxSession`], instead of dialing a fresh socket each:
+//! logical [`MuxSession`], instead of dialing a fresh socket each. The
+//! router reads only one request kind itself — `UpdateBatch`, which fans
+//! out:
 //!
 //! * **spreading** — sessions are assigned round-robin over the healthy
 //!   replicas, so concurrent clients land on different replicas;
@@ -28,8 +34,8 @@
 //!   move to the next healthy replica and are retried there; the client
 //!   only ever sees an answer. A failed request is first re-checked with
 //!   an epoch probe so a *genuine server rejection* (bad share domain,
-//!   oversized batch) is reported to the client instead of being retried
-//!   elsewhere;
+//!   oversized batch) reaches the client as the replica's own `Error`
+//!   frame instead of being retried elsewhere;
 //! * **load-shed forwarding** — a replica's typed
 //!   [`Frame::Overloaded`] refusal means the replica is *alive* and
 //!   shedding; the router forwards it to the client verbatim rather
@@ -51,20 +57,17 @@
 //! detects and resolves by epoch, so the client-side contract is
 //! unchanged.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use impir_core::topology::{FleetTopology, RetrySpec};
-use impir_core::transport::{MuxConnection, MuxSession, PirTransport};
+use impir_core::transport::{FrameChannel, MuxConnection, MuxSession, PirTransport};
 use impir_core::wire::{Frame, WIRE_VERSION};
 use impir_core::{PirError, UpdateOutcome};
 
-use crate::{protocol, read_session_frame, write_session_frame};
-
-/// How often the blocked accept loop wakes to check the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(50);
+use crate::{accept_loop, error_frame, protocol, Responder, ServiceConfig};
 
 /// How many times a fan-out leg waits out a replica's typed overload
 /// refusal before leaving the replica to the prober's journal replay.
@@ -254,10 +257,20 @@ impl PirRouter {
         let shutdown = Arc::new(AtomicBool::new(false));
         let probe_interval = Duration::from_millis(router.probe_interval_ms);
 
+        // Client connections run the threaded tier's accept and session
+        // loops, with a router responder per connection in place of the
+        // dispatcher — so they accept multiplexed sessions like a replica.
         let accept_state = Arc::clone(&state);
         let accept_shutdown = Arc::clone(&shutdown);
+        let config = ServiceConfig {
+            io_timeout,
+            ..ServiceConfig::default()
+        };
         let accept_handle = std::thread::spawn(move || {
-            accept_loop(&listener, &accept_state, &accept_shutdown, io_timeout);
+            accept_loop(&listener, &accept_shutdown, config, || RouterResponder {
+                state: Arc::clone(&accept_state),
+                backend: None,
+            });
         });
         let prober_state = Arc::clone(&state);
         let prober_shutdown = Arc::clone(&shutdown);
@@ -345,47 +358,6 @@ impl std::fmt::Debug for PirRouter {
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    state: &Arc<RouterState>,
-    shutdown: &Arc<AtomicBool>,
-    io_timeout: Duration,
-) {
-    let mut sessions: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let session_state = Arc::clone(state);
-                let session_shutdown = Arc::clone(shutdown);
-                sessions.push(std::thread::spawn(move || {
-                    session_loop(stream, &session_state, &session_shutdown, io_timeout);
-                }));
-            }
-            Err(err)
-                if err.kind() == std::io::ErrorKind::WouldBlock
-                    || err.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => break,
-        }
-        // Reap finished sessions every pass so a long-lived router does
-        // not accumulate one parked JoinHandle per past client.
-        let mut still_running = Vec::with_capacity(sessions.len());
-        for session in sessions {
-            if session.is_finished() {
-                let _ = session.join();
-            } else {
-                still_running.push(session);
-            }
-        }
-        sessions = still_running;
-    }
-    for session in sessions {
-        let _ = session.join();
-    }
-}
-
 /// The router side of one client session: a logical [`MuxSession`] on
 /// the pinned replica's shared connection, with failover when that
 /// replica dies.
@@ -451,40 +423,24 @@ impl RoutedBackend {
         Err(last_error.unwrap_or_else(|| protocol("no healthy replica available")))
     }
 
-    /// Runs one idempotent request against the pinned replica, failing
-    /// over to the next healthy one if the replica is dead. A failed
-    /// request is first re-checked with an epoch probe on the same
-    /// session: if the replica still answers, the failure was a genuine
-    /// rejection and is returned to the client instead of being retried
-    /// elsewhere. A typed overload refusal is forwarded verbatim — the
-    /// replica is alive and shedding, and failing over would stampede
-    /// the rest of the fleet.
-    fn call<T>(
-        &mut self,
-        state: &RouterState,
-        op: impl Fn(&mut MuxSession) -> Result<T, PirError>,
-    ) -> Result<T, PirError> {
-        let slots = state.slots.len();
-        for _ in 0..=slots {
+    /// Sends one idempotent request frame verbatim to the pinned replica
+    /// and returns the replica's reply frame, failing over to the next
+    /// healthy replica if this one is dead. An `Error` reply or a
+    /// transport failure is first re-checked with an epoch probe on the
+    /// same session: if the replica still answers, it genuinely rejected
+    /// the request and the client gets the rejection instead of a retry
+    /// elsewhere. Every other reply travels back untouched — a typed
+    /// overload refusal included: the replica is alive and shedding, and
+    /// failing over would stampede the rest of the fleet.
+    fn forward(&mut self, state: &RouterState, request: &[u8]) -> Result<Frame, PirError> {
+        for _ in 0..=state.slots.len() {
             if !state.slots[self.slot].healthy.load(Ordering::SeqCst) {
                 self.rotate(state)?;
             }
-            match op(&mut self.session) {
-                Ok(value) => return Ok(value),
-                Err(PirError::Overloaded { retry_after_ms }) => {
-                    return Err(PirError::Overloaded { retry_after_ms });
-                }
-                Err(err) => {
-                    let alive = !self.conn.is_broken()
-                        && matches!(
-                            self.session.epoch_info(),
-                            Ok(_) | Err(PirError::Overloaded { .. })
-                        );
-                    if alive {
-                        // The replica is alive — this is the server
-                        // rejecting the request, not a fault.
-                        return Err(err);
-                    }
+            match self.session.exchange(request, true) {
+                Ok(reply) if !matches!(reply, Frame::Error { .. }) => return Ok(reply),
+                outcome if alive(&self.conn, &mut self.session) => return outcome,
+                _ => {
                     state.slots[self.slot]
                         .healthy
                         .store(false, Ordering::SeqCst);
@@ -504,163 +460,60 @@ impl RoutedBackend {
     }
 }
 
-fn session_loop(
-    mut stream: TcpStream,
-    state: &Arc<RouterState>,
-    shutdown: &AtomicBool,
-    io_timeout: Duration,
-) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(io_timeout));
-    let _ = stream.set_write_timeout(Some(io_timeout));
+/// Whether a replica whose request just failed is still alive: its
+/// connection is intact and it answers an epoch probe (a typed overload
+/// refusal counts — a shedding replica is alive).
+fn alive(conn: &MuxConnection, session: &mut MuxSession) -> bool {
+    !conn.is_broken()
+        && matches!(
+            session.epoch_info(),
+            Ok(_) | Err(PirError::Overloaded { .. })
+        )
+}
 
-    // Handshake: the router answers exactly like a replica would, using
-    // the backend replica's own advertised geometry and live epoch.
-    let frame = match read_session_frame(&mut stream, shutdown) {
-        Ok(Some(frame)) => frame,
-        _ => return,
-    };
-    let mut backend = match frame {
-        Frame::Hello { version } if version == WIRE_VERSION => {
-            match RoutedBackend::connect(state) {
+/// Answers one client connection's frames on the router: the opening
+/// `Hello` pins a replica (its `HelloAck` carries that replica's live
+/// geometry and epoch, exactly as if the client had dialed it), update
+/// batches fan out to the fleet, and every other request is forwarded
+/// verbatim over the pinned replica leg.
+struct RouterResponder {
+    state: Arc<RouterState>,
+    backend: Option<RoutedBackend>,
+}
+
+impl Responder for RouterResponder {
+    fn respond(&mut self, request: Frame) -> Frame {
+        let reply = match (request, self.backend.as_mut()) {
+            (Frame::Hello { .. }, _) => match RoutedBackend::connect(&self.state) {
                 Ok(backend) => {
-                    let ack = Frame::HelloAck {
+                    let info = backend.info;
+                    self.backend = Some(backend);
+                    Ok(Frame::HelloAck {
                         version: WIRE_VERSION,
-                        info: backend.info,
-                    };
-                    if write_session_frame(&mut stream, &ack, shutdown).is_err() {
-                        return;
-                    }
-                    backend
+                        info,
+                    })
                 }
                 // Every replica is shedding: refuse the session with the
                 // same typed frame a replica would use.
                 Err(PirError::Overloaded { retry_after_ms }) => {
-                    let _ = write_session_frame(
-                        &mut stream,
-                        &Frame::Overloaded { retry_after_ms },
-                        shutdown,
-                    );
-                    return;
+                    Ok(Frame::Overloaded { retry_after_ms })
                 }
-                Err(err) => {
-                    let _ = write_session_frame(
-                        &mut stream,
-                        &Frame::Error {
-                            message: format!("router has no healthy replica: {err}"),
-                        },
-                        shutdown,
-                    );
-                    return;
-                }
-            }
-        }
-        Frame::Hello { version } => {
-            let _ = write_session_frame(
-                &mut stream,
-                &Frame::Error {
-                    message: format!(
-                        "server speaks wire version {WIRE_VERSION}, client sent {version}"
-                    ),
-                },
-                shutdown,
-            );
-            return;
-        }
-        other => {
-            let _ = write_session_frame(
-                &mut stream,
-                &Frame::Error {
-                    message: format!("expected Hello to open the session, got {}", other.name()),
-                },
-                shutdown,
-            );
-            return;
-        }
-    };
-
-    loop {
-        let frame = match read_session_frame(&mut stream, shutdown) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => return, // clean close
-            Err(err) => {
-                let _ = write_session_frame(
-                    &mut stream,
-                    &Frame::Error {
-                        message: err.to_string(),
-                    },
-                    shutdown,
-                );
-                return;
-            }
-        };
-        let reply =
-            match frame {
-                Frame::QueryBatch { shares } => backend
-                    .call(state, |t| t.query_batch(&shares))
-                    .map(|batch| Frame::ResponseBatch {
-                        epoch: batch.epoch,
-                        wall_seconds: batch.server_wall_seconds,
-                        phases: batch.phase_totals,
-                        responses: batch.responses,
-                    }),
-                Frame::SelectorScan { selector } => backend
-                    .call(state, |t| t.scan_selector(&selector))
-                    .map(|scan| Frame::SelectorResult {
-                        epoch: scan.epoch,
-                        payload: scan.payload,
-                        phases: scan.phases,
-                    }),
-                Frame::InfoRequest => backend
-                    .call(state, PirTransport::server_info)
-                    .map(|info| Frame::Info { info }),
-                Frame::EpochInfoRequest => backend
-                    .call(state, PirTransport::epoch_info)
-                    .map(|info| Frame::EpochInfo { info }),
-                Frame::UpdateReplayRequest { from_epoch } => backend
-                    .call(state, |t| t.replay_updates(from_epoch))
-                    .map(|batches| Frame::UpdateReplay { batches }),
-                // Updates are NOT failover-retried through the session's
-                // pinned replica: they fan out to the whole fleet under the
-                // router's update lock, exactly once per healthy replica.
-                Frame::UpdateBatch { updates } => {
-                    fan_out_update(state, &updates).map(|outcome| Frame::UpdateAck { outcome })
-                }
-                Frame::Goodbye => return,
-                other => {
-                    let _ = write_session_frame(
-                        &mut stream,
-                        &Frame::Error {
-                            message: format!("unexpected {} frame mid-session", other.name()),
-                        },
-                        shutdown,
-                    );
-                    return;
-                }
-            };
-        let frame = match reply {
-            Ok(frame) => frame,
-            // A truncated journal is a typed outcome the client resolves;
-            // forward it as its own frame, like a replica would.
-            Err(PirError::JournalTruncated {
-                from_epoch,
-                oldest_replayable,
-                current_epoch,
-            }) => Frame::JournalTruncated {
-                from_epoch,
-                oldest_replayable,
-                current_epoch,
+                Err(err) => Ok(Frame::Error {
+                    message: format!("router has no healthy replica: {err}"),
+                }),
             },
-            // So is a load-shed refusal: the replica's backoff hint
-            // travels through the router untouched.
-            Err(PirError::Overloaded { retry_after_ms }) => Frame::Overloaded { retry_after_ms },
-            Err(err) => Frame::Error {
-                message: err.to_string(),
-            },
+            // Updates are NOT failover-retried through the session's
+            // pinned replica: they fan out to the whole fleet under the
+            // router's update lock, exactly once per healthy replica.
+            (Frame::UpdateBatch { updates }, _) => {
+                fan_out_update(&self.state, &updates).map(|outcome| Frame::UpdateAck { outcome })
+            }
+            (request, Some(backend)) => request
+                .encode()
+                .and_then(|encoded| backend.forward(&self.state, &encoded)),
+            (_, None) => Err(protocol("the router session has no replica")),
         };
-        if write_session_frame(&mut stream, &frame, shutdown).is_err() {
-            return;
-        }
+        reply.unwrap_or_else(|err| error_frame(&err))
     }
 }
 
@@ -745,12 +598,7 @@ fn fan_out_to_slot(state: &RouterState, slot: usize, updates: &[(u64, Vec<u8>)])
                 std::thread::sleep(Duration::from_millis(retry_after_ms).min(MAX_SHED_WAIT));
             }
             Err(err) => {
-                let alive = !conn.is_broken()
-                    && matches!(
-                        session.epoch_info(),
-                        Ok(_) | Err(PirError::Overloaded { .. })
-                    );
-                if alive {
+                if alive(&conn, &mut session) {
                     // The replica is alive and rejected the batch; every
                     // peer runs the same all-or-nothing validation and
                     // rejects it too, so nothing has landed anywhere.
@@ -1032,6 +880,69 @@ mod tests {
         assert_eq!(transport.replay_updates(0).unwrap(), expected);
         assert_eq!(transport.replay_updates(2).unwrap(), expected[2..].to_vec());
         drop(transport);
+        router.shutdown();
+        services.into_iter().for_each(crate::PirService::shutdown);
+    }
+
+    #[test]
+    fn mux_sessions_through_the_router_answer_like_direct_replica_sessions() {
+        let topology = routed_fleet(2);
+        let (services, router) = routed_services(&topology, crate::service_config_for(&topology));
+        let via_router = MuxConnection::connect(router.addr()).unwrap();
+        let direct = MuxConnection::connect(services[0].addr()).unwrap();
+        let mut client = PirClient::new(192, 8, 11).unwrap();
+        let (shares, _) = client.generate_batch(&[0, 77, 191]).unwrap();
+        let selector: impir_dpf::SelectorVector = (0..192).map(|i| i % 5 == 2).collect();
+        for _ in 0..2 {
+            let mut routed = via_router.session().unwrap();
+            let mut replica = direct.session().unwrap();
+            assert_eq!(
+                routed.query_batch(&shares).unwrap().responses,
+                replica.query_batch(&shares).unwrap().responses
+            );
+            assert_eq!(
+                routed.scan_selector(&selector).unwrap().payload,
+                replica.scan_selector(&selector).unwrap().payload
+            );
+            assert_eq!(routed.epoch_info().unwrap(), replica.epoch_info().unwrap());
+        }
+        drop((via_router, direct));
+        router.shutdown();
+        services.into_iter().for_each(crate::PirService::shutdown);
+    }
+
+    #[test]
+    fn a_mid_session_hello_through_the_router_closes_the_connection() {
+        use std::io::{Read, Write};
+        let topology = routed_fleet(1);
+        let (services, router) = routed_services(&topology, crate::service_config_for(&topology));
+        let hello = Frame::Hello {
+            version: WIRE_VERSION,
+        };
+        for session in [None, Some(3u32)] {
+            let mut stream = std::net::TcpStream::connect(router.addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let mut exchange = |frame: &Frame| {
+                stream.write_all(&frame.encode().unwrap()).unwrap();
+                impir_core::wire::read_frame(&mut stream).unwrap().0
+            };
+            assert!(matches!(exchange(&hello), Frame::HelloAck { .. }));
+            let reply = match exchange(&crate::wrap(session, hello.clone())) {
+                Frame::Mux { session: id, frame } if Some(id) == session => *frame,
+                plain => plain,
+            };
+            assert!(
+                matches!(&reply, Frame::Error { message } if message.contains("Hello")),
+                "session {session:?}: {reply:?}"
+            );
+            assert_eq!(
+                stream.read(&mut [0u8; 1]).unwrap(),
+                0,
+                "session {session:?}"
+            );
+        }
         router.shutdown();
         services.into_iter().for_each(crate::PirService::shutdown);
     }

@@ -110,8 +110,8 @@ fn event_tier_answers_byte_identically_to_the_threaded_tier_across_updates() {
     // The same topology served by both session tiers, compared against
     // the same in-process oracle — pre- and post-update. This is the
     // contract that lets `session-tier = events` swap in transparently:
-    // the tiers share every reply constructor, so nothing on the wire
-    // reveals which one answered.
+    // the dispatcher builds every reply frame for both tiers, so nothing
+    // on the wire reveals which one answered.
     let indices = [0u64, 1, 299, 300, 599, 123, 123];
     let updates: Vec<(u64, Vec<u8>)> = vec![
         (0, vec![0x11; RECORD_BYTES]),

@@ -3,7 +3,7 @@
 //! errors for corrupt, truncated and oversized inputs.
 
 use im_pir::core::server::phases::{PhaseBreakdown, PhaseTime};
-use im_pir::core::wire::{EpochInfo, Frame, ServerInfo, MAX_FRAME_BYTES, WIRE_VERSION};
+use im_pir::core::wire::{encode_mux, EpochInfo, Frame, ServerInfo, MAX_FRAME_BYTES, WIRE_VERSION};
 use im_pir::core::{PirError, QueryShare, ServerResponse, UpdateOutcome};
 use im_pir::dpf::gen::generate_keys;
 use im_pir::dpf::{PartyId, SelectorVector};
@@ -368,6 +368,31 @@ proptest! {
         let cut = (cut_seed % encoded.len() as u64) as usize;
         prop_assert!(matches!(
             Frame::decode(&encoded[..cut]),
+            Err(PirError::Protocol { .. })
+        ));
+    }
+
+    /// A mux session's header put in front of an encoded plain frame is
+    /// byte-identical to encoding the `Mux` frame itself, for every frame
+    /// kind and session id; a nested `Mux` or a partial frame is refused.
+    #[test]
+    fn prop_mux_header_matches_the_mux_frame_encoding(
+        kind in 0u64..FRAME_KINDS,
+        seed in any::<u64>(),
+        session in any::<u32>(),
+    ) {
+        let frame = arbitrary_frame(kind, seed);
+        let plain = frame.encode().expect("arbitrary frames fit the limit");
+        let wrapped = encode_mux(session, &plain);
+        let muxed = Frame::Mux { session, frame: Box::new(frame) }.encode();
+        if kind == 17 {
+            prop_assert!(matches!(wrapped, Err(PirError::Protocol { .. })));
+            prop_assert!(matches!(muxed, Err(PirError::Protocol { .. })));
+        } else {
+            prop_assert_eq!(wrapped.expect("a plain frame wraps"), muxed.expect("encodes"));
+        }
+        prop_assert!(matches!(
+            encode_mux(session, &plain[..plain.len() - 1]),
             Err(PirError::Protocol { .. })
         ));
     }
