@@ -11,9 +11,10 @@
 //!   length-prefixed [`Frame`]s survive partial reads and partial writes;
 //! * every parsed frame is classified by the same function the threaded
 //!   tier uses (request, `Goodbye` or violation, per logical session);
-//!   requests go to the same dispatcher thread as request frames — wave
-//!   coalescing and the engine's bounded admission queue stay the
-//!   batching brain — but with `try_send` instead of a blocking send: a
+//!   request frames go to the same dispatcher thread the threaded tier
+//!   feeds — wave coalescing and the engine's bounded admission queue
+//!   stay the batching brain — but with `try_send` instead of a blocking
+//!   send: a
 //!   full dispatcher queue makes the loop **shed load** with a typed
 //!   [`Frame::Overloaded`] refusal and pause reading that connection
 //!   until the queue drains, so overload never buffers requests without

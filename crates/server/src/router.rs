@@ -358,9 +358,9 @@ impl std::fmt::Debug for PirRouter {
     }
 }
 
-/// The router side of one client session: a logical [`MuxSession`] on
-/// the pinned replica's shared connection, with failover when that
-/// replica dies.
+/// The router side of one client connection (its root session and any
+/// multiplexed ones): a logical [`MuxSession`] on the pinned replica's
+/// shared connection, with failover when that replica dies.
 struct RoutedBackend {
     slot: usize,
     /// Pins the shared connection so it cannot be dropped out from
