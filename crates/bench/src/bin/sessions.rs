@@ -1,30 +1,29 @@
-//! Concurrent-session scaling: thread-per-connection vs the event loop.
+//! Open-session scaling of the one session tier: connection per session
+//! vs multiplexed sessions against the same server.
 //!
-//! PR 10 replaces the service's thread-per-connection session tier with a
-//! single-threaded non-blocking readiness loop (`session-tier = events`)
-//! plus wire-level session multiplexing, so one TCP connection can carry
-//! thousands of logical sessions. This bin measures what that buys:
+//! Every replica serves all of its connections from one `poll(2)` event
+//! loop, so its thread count should not depend on how many sessions are
+//! open. This bin checks that, for the two ways a client can hold
+//! sessions:
 //!
-//! * **threaded tier** — one `TcpTransport` per session; the server
-//!   spawns one OS thread per connection, so N sessions is N parked
-//!   server threads. The sweep caps this tier at a quarter of the
-//!   requested maximum: past that, thread-per-session is exactly the
-//!   scaling wall the event tier exists to remove.
-//! * **event tier** — sessions are `MuxSession`s multiplexed over one
-//!   connection per client worker; the server runs them all on one
-//!   event-loop thread, so its thread count stays constant no matter
-//!   how many sessions are open.
+//! * **connection per session** — one `TcpTransport` per session, so N
+//!   sessions are N TCP connections in the server's poll set;
+//! * **multiplexed** — `MuxSession`s over one connection per client
+//!   worker, so N sessions are [`WORKERS`] connections.
 //!
-//! For every session count the harness opens the sessions, runs one
-//! warm-up wave, then [`MEASURE_WAVES`] measured waves (a wave = every
-//! session asks one query and gets its answer), recording sustained
-//! waves/s, queries/s, per-request p50/p99 latency, and the process's
-//! peak thread count from `/proc/self/status`.
+//! What it measures is *open sessions*, not concurrent load: each of the
+//! [`WORKERS`] client workers walks its sessions one request at a time,
+//! so at most 8 requests are ever in flight. For every session count the
+//! harness opens the sessions, runs one warm-up wave, then
+//! [`MEASURE_WAVES`] measured waves (a wave = every session asks one
+//! query and gets its answer), recording sustained waves/s, queries/s,
+//! per-request p50/p99 latency, and the process's peak thread count from
+//! `/proc/self/status`.
 //!
-//! Acceptance (enforced at >= 2048 max sessions, exit code 2): the event
-//! tier must sustain **4x** the threaded tier's maximum session count at
-//! equal-or-better queries/s, with a peak thread count at most half the
-//! threaded tier's.
+//! Acceptance (exit code 2): for both client shapes, the peak thread
+//! count at the largest session count is at most the peak at the smallest
+//! plus [`THREAD_SLACK`] — the server's threads do not grow with its
+//! sessions.
 //!
 //! Results go to stdout and `BENCH_sessions.json` (plus
 //! `target/impir-results/sessions.json`); CI smoke-checks the file.
@@ -43,7 +42,6 @@ use impir_core::database::Database;
 use impir_core::engine::{EngineConfig, QueryEngine};
 use impir_core::server::cpu::{CpuPirServer, CpuServerConfig};
 use impir_core::shard::ShardedDatabase;
-use impir_core::topology::SessionTier;
 use impir_core::transport::{MuxConnection, PirTransport, TcpTransport};
 use impir_core::{PirClient, QueryShare};
 use impir_server::{PirService, ServiceConfig};
@@ -51,12 +49,35 @@ use impir_server::{PirService, ServiceConfig};
 /// Record size used throughout (the paper's 32-byte hashes).
 const RECORD_BYTES: usize = 32;
 
-/// Client worker threads driving the sessions; identical for both tiers
-/// so the client side cancels out of the comparison.
+/// Client worker threads driving the sessions; identical for both client
+/// shapes, and the bound on requests in flight.
 const WORKERS: usize = 8;
 
 /// Measured waves per session count (after one warm-up wave).
 const MEASURE_WAVES: usize = 3;
+
+/// Threads the peak may grow by from the smallest to the largest session
+/// count: the engine's short-lived per-batch threads, sampled at
+/// different moments.
+const THREAD_SLACK: usize = 8;
+
+/// How a client worker holds its sessions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// One TCP connection per session.
+    PerConnection,
+    /// Every session of a worker multiplexed over one connection.
+    Multiplexed,
+}
+
+impl Shape {
+    fn label(self) -> &'static str {
+        match self {
+            Shape::PerConnection => "connection per session",
+            Shape::Multiplexed => "multiplexed",
+        }
+    }
+}
 
 /// One measured configuration.
 struct RunStats {
@@ -90,26 +111,24 @@ fn cpu_engine(db: &Arc<Database>) -> QueryEngine<CpuPirServer> {
     .expect("cpu engine builds")
 }
 
-/// Opens `count` logical sessions for one worker: one TCP connection per
-/// session on the threaded tier, one multiplexed connection carrying all
-/// of them on the event tier. The returned connection handle must
-/// outlive the sessions.
+/// Opens `count` logical sessions for one worker in the given shape. The
+/// returned connection handle must outlive the sessions.
 fn open_sessions(
-    tier: SessionTier,
+    shape: Shape,
     addr: SocketAddr,
     count: usize,
 ) -> (Option<MuxConnection>, Vec<Box<dyn PirTransport + Send>>) {
-    match tier {
-        SessionTier::Threads => {
+    match shape {
+        Shape::PerConnection => {
             let sessions = (0..count)
                 .map(|_| {
-                    Box::new(TcpTransport::connect(addr).expect("threaded session connects"))
+                    Box::new(TcpTransport::connect(addr).expect("session connects"))
                         as Box<dyn PirTransport + Send>
                 })
                 .collect();
             (None, sessions)
         }
-        SessionTier::Events => {
+        Shape::Multiplexed => {
             let conn = MuxConnection::connect(addr).expect("mux connection connects");
             let sessions = (0..count)
                 .map(|_| {
@@ -122,24 +141,12 @@ fn open_sessions(
     }
 }
 
-/// Runs one (tier, session count) configuration against a fresh service
+/// Runs one (shape, session count) configuration against a fresh service
 /// and reports its sustained rates, latency percentiles and the peak
 /// process thread count.
-fn run_tier(
-    tier: SessionTier,
-    sessions: usize,
-    db: &Arc<Database>,
-    shares: &[QueryShare],
-) -> RunStats {
-    let service = PirService::bind(
-        cpu_engine(db),
-        "127.0.0.1:0",
-        ServiceConfig {
-            session_tier: tier,
-            ..ServiceConfig::default()
-        },
-    )
-    .expect("service binds");
+fn run_shape(shape: Shape, sessions: usize, db: &Arc<Database>, shares: &[QueryShare]) -> RunStats {
+    let service = PirService::bind(cpu_engine(db), "127.0.0.1:0", ServiceConfig::default())
+        .expect("service binds");
     let addr = service.addr();
 
     let workers = WORKERS.min(sessions);
@@ -156,7 +163,7 @@ fn run_tier(
             let warmed = Arc::clone(&warmed);
             let remaining = Arc::clone(&remaining);
             std::thread::spawn(move || {
-                let (_conn, mut sessions) = open_sessions(tier, addr, count);
+                let (_conn, mut sessions) = open_sessions(shape, addr, count);
                 connected.wait();
                 for session in &mut sessions {
                     session.query_batch(&shares).expect("warm-up query");
@@ -176,9 +183,8 @@ fn run_tier(
         })
         .collect();
 
-    // Every session is open (and, on the threaded tier, every server
-    // session thread is running) once the first barrier clears — sample
-    // the thread count from here until the last worker finishes.
+    // Every session is open once the first barrier clears — sample the
+    // thread count from here until the last worker finishes.
     connected.wait();
     let mut peak_threads = live_threads();
     warmed.wait();
@@ -232,10 +238,6 @@ fn main() {
         .generate_batch(&[records / 3])
         .expect("share generation");
 
-    // Thread-per-connection stops at a quarter of the sweep: past that,
-    // one parked OS thread per session is the scaling wall this bench
-    // exists to demonstrate, not a configuration worth timing.
-    let threaded_cap = (max_sessions / 4).max(8);
     let mut sweep = Vec::new();
     let mut n = 64.min(max_sessions);
     while n < max_sessions {
@@ -247,42 +249,27 @@ fn main() {
     let mut report = FigureReport::new(
         "sessions",
         format!(
-            "Concurrent-session scaling to {max_sessions} sessions, thread-per-connection vs \
-             event-driven session tier, {records} records x {RECORD_BYTES} B"
+            "Open-session scaling to {max_sessions} sessions on the one event-loop session tier, \
+             connection per session vs multiplexed, at most {WORKERS} requests in flight, \
+             {records} records x {RECORD_BYTES} B"
         ),
-        "session multiplexing over a non-blocking event loop sustains 4x the concurrent \
-         sessions of thread-per-connection at equal-or-better throughput with a constant \
-         server thread count",
+        "one poll(2) event loop holds every open session (at most 8 requests in flight) with \
+         a server thread count that does not grow with the session count, whether each \
+         session has its own connection or shares a multiplexed one",
     );
-    let mut series: Vec<(SessionTier, &str, Series, Series, Series, Series)> = vec![
-        (
-            SessionTier::Threads,
-            "threaded",
-            Series::new("threaded waves/s", "waves/s"),
-            Series::new("threaded queries/s", "queries/s"),
-            Series::new("threaded p99 latency", "ms"),
-            Series::new("threaded peak threads", "threads"),
-        ),
-        (
-            SessionTier::Events,
-            "events",
-            Series::new("event waves/s", "waves/s"),
-            Series::new("event queries/s", "queries/s"),
-            Series::new("event p99 latency", "ms"),
-            Series::new("event peak threads", "threads"),
-        ),
-    ];
-
-    let mut threaded_top: Option<RunStats> = None;
-    let mut events_top: Option<RunStats> = None;
-    for (tier, label, waves, queries, p99, threads) in &mut series {
+    let mut failures = Vec::new();
+    for shape in [Shape::PerConnection, Shape::Multiplexed] {
+        let label = shape.label();
+        let mut waves = Series::new(format!("{label} waves/s"), "waves/s");
+        let mut queries = Series::new(format!("{label} queries/s"), "queries/s");
+        let mut p50 = Series::new(format!("{label} p50 latency"), "ms");
+        let mut p99 = Series::new(format!("{label} p99 latency"), "ms");
+        let mut threads = Series::new(format!("{label} peak threads"), "threads");
+        let mut runs = Vec::new();
         for &sessions in &sweep {
-            if *tier == SessionTier::Threads && sessions > threaded_cap {
-                continue;
-            }
-            let stats = run_tier(*tier, sessions, &db, &shares);
+            let stats = run_shape(shape, sessions, &db, &shares);
             println!(
-                "{label:>8} tier, {sessions:>5} sessions: {:>8.2} waves/s  {:>9.1} queries/s  \
+                "{label:>22}, {sessions:>5} sessions: {:>8.2} waves/s  {:>9.1} queries/s  \
                  p50 {:>7.3} ms  p99 {:>7.3} ms  peak {} thread(s)",
                 stats.waves_per_sec,
                 stats.queries_per_sec,
@@ -291,52 +278,41 @@ fn main() {
                 stats.peak_threads
             );
             let x_label = format!("{sessions} sessions");
-            waves.push(DataPoint::new(
-                x_label.clone(),
-                sessions as f64,
-                stats.waves_per_sec,
-            ));
-            queries.push(DataPoint::new(
-                x_label.clone(),
-                sessions as f64,
-                stats.queries_per_sec,
-            ));
-            p99.push(DataPoint::new(
-                x_label.clone(),
-                sessions as f64,
-                stats.p99_ms,
-            ));
-            threads.push(DataPoint::new(
-                x_label,
-                sessions as f64,
-                stats.peak_threads as f64,
-            ));
-            match *tier {
-                SessionTier::Threads => threaded_top = Some(stats),
-                SessionTier::Events => events_top = Some(stats),
-            }
+            let x = sessions as f64;
+            waves.push(DataPoint::new(x_label.clone(), x, stats.waves_per_sec));
+            queries.push(DataPoint::new(x_label.clone(), x, stats.queries_per_sec));
+            p50.push(DataPoint::new(x_label.clone(), x, stats.p50_ms));
+            p99.push(DataPoint::new(x_label.clone(), x, stats.p99_ms));
+            threads.push(DataPoint::new(x_label, x, stats.peak_threads as f64));
+            runs.push(stats);
         }
-    }
-
-    let threaded_top = threaded_top.expect("the threaded sweep always runs");
-    let events_top = events_top.expect("the event sweep always runs");
-    report.push_note(format!(
-        "threaded tier topped out at {} sessions (sweep-capped at max/4): {:.1} queries/s, \
-         peak {} thread(s)",
-        threaded_top.sessions, threaded_top.queries_per_sec, threaded_top.peak_threads
-    ));
-    report.push_note(format!(
-        "event tier sustained {} sessions ({}x): {:.1} queries/s, peak {} thread(s)",
-        events_top.sessions,
-        events_top.sessions / threaded_top.sessions.max(1),
-        events_top.queries_per_sec,
-        events_top.peak_threads
-    ));
-    for (_, _, waves, queries, p99, threads) in series {
-        report.push_series(waves);
-        report.push_series(queries);
-        report.push_series(p99);
-        report.push_series(threads);
+        let (smallest, largest) = (&runs[0], &runs[runs.len() - 1]);
+        report.push_note(format!(
+            "{label}: p50 {:.3} ms at {} sessions; {} sessions held at {:.1} queries/s; peak \
+             threads {} at {} sessions, {} at {}",
+            smallest.p50_ms,
+            smallest.sessions,
+            largest.sessions,
+            largest.queries_per_sec,
+            smallest.peak_threads,
+            smallest.sessions,
+            largest.peak_threads,
+            largest.sessions
+        ));
+        // Acceptance: the server's threads do not grow with its sessions.
+        if largest.peak_threads > smallest.peak_threads + THREAD_SLACK {
+            failures.push(format!(
+                "{label}: peak threads grew from {} at {} sessions to {} at {} (allowed +{})",
+                smallest.peak_threads,
+                smallest.sessions,
+                largest.peak_threads,
+                largest.sessions,
+                THREAD_SLACK
+            ));
+        }
+        for series in [waves, queries, p50, p99, threads] {
+            report.push_series(series);
+        }
     }
     report.emit();
 
@@ -347,39 +323,10 @@ fn main() {
             std::process::exit(1);
         }
     }
-
-    // Acceptance: at full size the event tier holds 4x the sessions the
-    // threaded tier topped out at, moves queries at least as fast in
-    // aggregate, and does it with a fraction of the threads. Smoke-sized
-    // sweeps only warn — thread counts and rates are noise down there.
-    let session_ratio = events_top.sessions as f64 / threaded_top.sessions.max(1) as f64;
-    let mut failures = Vec::new();
-    if session_ratio < 4.0 {
-        failures.push(format!(
-            "event tier sustained only {:.1}x the threaded session count (need 4x)",
-            session_ratio
-        ));
-    }
-    if events_top.queries_per_sec < threaded_top.queries_per_sec {
-        failures.push(format!(
-            "event tier at {} sessions moved {:.1} queries/s, threaded at {} moved {:.1}",
-            events_top.sessions,
-            events_top.queries_per_sec,
-            threaded_top.sessions,
-            threaded_top.queries_per_sec
-        ));
-    }
-    if live_threads() > 0 && events_top.peak_threads * 2 > threaded_top.peak_threads {
-        failures.push(format!(
-            "event tier peaked at {} thread(s), threaded at {} — expected at most half",
-            events_top.peak_threads, threaded_top.peak_threads
-        ));
-    }
-    for failure in &failures {
-        eprintln!("warning: {failure}");
-    }
-    if !failures.is_empty() && max_sessions >= 2048 {
-        eprintln!("error: the event tier must beat thread-per-connection at >=2048 sessions");
+    if !failures.is_empty() {
+        for failure in &failures {
+            eprintln!("error: {failure}");
+        }
         std::process::exit(2);
     }
 }

@@ -343,7 +343,7 @@ impl FaultProxy {
             let frames = Arc::clone(&frames);
             let schedule = Arc::new(schedule);
             std::thread::spawn(move || {
-                accept_loop(&listener, &upstream, &schedule, &shutdown, &frames)
+                relay_clients(&listener, &upstream, &schedule, &shutdown, &frames)
             })
         };
         Ok(Self {
@@ -386,7 +386,9 @@ impl Drop for FaultProxy {
     }
 }
 
-fn accept_loop(
+/// Accepts client connections until shutdown, relaying each one to the
+/// upstream server on its own thread.
+fn relay_clients(
     listener: &TcpListener,
     upstream: &[SocketAddr],
     schedule: &Arc<FaultSchedule>,

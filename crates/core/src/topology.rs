@@ -124,41 +124,33 @@ impl RebalanceMode {
     }
 }
 
-/// Which session tier a serving replica runs its client connections on
-/// (`[fleet] session-tier = threads|events`, or `impir-server
-/// --session-tier threads|events`). Responses are byte-identical across
-/// tiers; the choice only decides how many OS threads the session layer
-/// costs.
+/// The session tier serving processes run their client connections on.
+/// There is one: every replica and router serves from a single `poll(2)`
+/// event loop. The type and [`FleetTopology::session_tier`] remain only
+/// so code that names the tier keeps compiling; nothing reads them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SessionTier {
-    /// One OS thread per TCP connection (the original tier): simple
-    /// blocking I/O, but the thread count grows with the session count.
+    /// One event loop drives every connection.
     #[default]
-    Threads,
-    /// A single event-loop thread drives every connection with
-    /// non-blocking readiness polling; the thread count stays constant no
-    /// matter how many sessions connect.
     Events,
 }
 
-impl std::fmt::Display for SessionTier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SessionTier::Threads => "threads",
-            SessionTier::Events => "events",
-        })
-    }
-}
-
-impl SessionTier {
-    /// Parses `threads` or `events` (the CLI and topology-file spelling).
-    #[must_use]
-    pub fn parse(value: &str) -> Option<Self> {
-        match value {
-            "threads" => Some(SessionTier::Threads),
-            "events" => Some(SessionTier::Events),
-            _ => None,
-        }
+/// Migrates the retired `session-tier` setting (`[fleet] session-tier`,
+/// `impir-server --session-tier`) on read instead of failing files that
+/// used to be valid: both old spellings, `threads` and `events`, mean the
+/// one tier, and the result is the deprecation note to print. Any other
+/// value is the error it always was.
+///
+/// # Errors
+///
+/// The reason a value other than `threads` or `events` is rejected.
+pub fn convert_deprecated_session_tier(value: &str) -> Result<&'static str, String> {
+    match value {
+        "threads" | "events" => Ok("session-tier is deprecated and ignored: every replica and \
+                                    router serves from one event loop"),
+        other => Err(format!(
+            "session-tier expects `threads` or `events`, got `{other}`"
+        )),
     }
 }
 
@@ -331,10 +323,11 @@ pub struct FleetTopology {
     /// Whether serving replicas rebalance their shard layout live from
     /// measured skew.
     pub rebalance: RebalanceMode,
-    /// Per-session socket read/write timeout of the *server* side, in
-    /// milliseconds (must be at least 1).
+    /// Bound on the router's writes to replicas, in milliseconds (must be
+    /// at least 1).
     pub io_timeout_ms: u64,
-    /// Which session tier serving replicas run (`threads` or `events`).
+    /// The one session tier; kept for code that names it, read by nothing
+    /// (see [`SessionTier`]).
     pub session_tier: SessionTier,
     /// Optional budget of **logical** sessions a serving replica accepts
     /// before it stops accepting (`None` = unlimited). Under
@@ -364,7 +357,7 @@ impl FleetTopology {
             scan_kernel: KernelChoice::Auto,
             rebalance: RebalanceMode::Off,
             io_timeout_ms: 50,
-            session_tier: SessionTier::Threads,
+            session_tier: SessionTier::Events,
             max_sessions: None,
             retry: RetrySpec::default(),
             replicas: Vec::new(),
@@ -382,9 +375,14 @@ impl FleetTopology {
     /// sections, values that do not parse (including out-of-range
     /// numbers), `shards`/`autoshard` given together, and for any
     /// semantic problem [`FleetTopology::validate`] would report. Hostile
-    /// input never panics.
+    /// input never panics. Deprecated keys still parse and print a
+    /// line-numbered note to stderr.
     pub fn parse(input: &str) -> Result<Self, PirError> {
-        Parser::new().parse(input)
+        let (topology, notes) = Parser::new().parse(input)?;
+        for note in notes {
+            eprintln!("warning: {note}");
+        }
+        Ok(topology)
     }
 
     /// Reads and [`parse`](FleetTopology::parse)s a topology file.
@@ -423,7 +421,6 @@ impl FleetTopology {
         let _ = writeln!(out, "scan-kernel = {}", self.scan_kernel);
         let _ = writeln!(out, "rebalance = {}", self.rebalance);
         let _ = writeln!(out, "io-timeout-ms = {}", self.io_timeout_ms);
-        let _ = writeln!(out, "session-tier = {}", self.session_tier);
         // `max-sessions` has no "unlimited" spelling — absence is the
         // canonical form, keeping parse ∘ serialize ∘ parse the identity.
         if let Some(max_sessions) = self.max_sessions {
@@ -740,9 +737,9 @@ impl FleetTopology {
         }
     }
 
-    /// The server-side per-session socket timeout this topology asks for.
+    /// The bound on the router's writes to replicas (`io-timeout-ms`).
     #[must_use]
-    pub fn service_io_timeout(&self) -> Duration {
+    pub fn replica_write_timeout(&self) -> Duration {
         Duration::from_millis(self.io_timeout_ms)
     }
 }
@@ -842,7 +839,6 @@ struct Parser {
     scan_kernel: Option<KernelChoice>,
     rebalance: Option<RebalanceMode>,
     io_timeout_ms: Option<u64>,
-    session_tier: Option<SessionTier>,
     max_sessions: Option<usize>,
     retry: RetrySpec,
     replicas: Vec<ReplicaBuilder>,
@@ -854,6 +850,8 @@ struct Parser {
     saw_fleet: bool,
     saw_router: bool,
     section: Section,
+    /// Line-numbered notes for deprecated keys that still parse.
+    deprecations: Vec<String>,
 }
 
 fn line_error<T>(line: usize, reason: impl std::fmt::Display) -> Result<T, PirError> {
@@ -873,7 +871,6 @@ impl Parser {
             scan_kernel: None,
             rebalance: None,
             io_timeout_ms: None,
-            session_tier: None,
             max_sessions: None,
             retry: RetrySpec::default(),
             replicas: Vec::new(),
@@ -885,10 +882,12 @@ impl Parser {
             saw_fleet: false,
             saw_router: false,
             section: Section::Preamble,
+            deprecations: Vec::new(),
         }
     }
 
-    fn parse(mut self, input: &str) -> Result<FleetTopology, PirError> {
+    /// The topology, and a note per deprecated key it carried.
+    fn parse(mut self, input: &str) -> Result<(FleetTopology, Vec<String>), PirError> {
         for (index, raw) in input.lines().enumerate() {
             let line_no = index + 1;
             // Everything after `#` is a comment; what remains must be a
@@ -920,7 +919,8 @@ impl Parser {
             }
             self.set_key(key, value, line_no)?;
         }
-        self.finish()
+        let deprecations = std::mem::take(&mut self.deprecations);
+        Ok((self.finish()?, deprecations))
     }
 
     fn open_section(&mut self, header: &str, line_no: usize) -> Result<(), PirError> {
@@ -1027,7 +1027,11 @@ impl Parser {
             "scan-kernel" => self.scan_kernel = Some(parse_kernel(value, line_no)?),
             "rebalance" => self.rebalance = Some(parse_rebalance(value, line_no)?),
             "io-timeout-ms" => self.io_timeout_ms = Some(parse_u64(key, value, line_no)?),
-            "session-tier" => self.session_tier = Some(parse_session_tier(value, line_no)?),
+            "session-tier" => {
+                let note = convert_deprecated_session_tier(value)
+                    .or_else(|reason| line_error(line_no, reason))?;
+                self.deprecations.push(format!("line {line_no}: {note}"));
+            }
             "max-sessions" => {
                 let sessions = parse_usize(key, value, line_no)?;
                 if sessions == 0 {
@@ -1164,7 +1168,7 @@ impl Parser {
             scan_kernel: self.scan_kernel.unwrap_or(KernelChoice::Auto),
             rebalance: self.rebalance.unwrap_or_default(),
             io_timeout_ms: self.io_timeout_ms.unwrap_or(50),
-            session_tier: self.session_tier.unwrap_or_default(),
+            session_tier: SessionTier::Events,
             max_sessions: self.max_sessions,
             retry: self.retry,
             replicas,
@@ -1248,14 +1252,6 @@ fn parse_autoshard(value: &str, line_no: usize) -> Result<ShardPolicy, PirError>
     }
 }
 
-fn parse_session_tier(value: &str, line_no: usize) -> Result<SessionTier, PirError> {
-    SessionTier::parse(value).ok_or_else(|| PirError::Config {
-        reason: format!(
-            "line {line_no}: session-tier expects `threads` or `events`, got `{value}`"
-        ),
-    })
-}
-
 fn parse_rebalance(value: &str, line_no: usize) -> Result<RebalanceMode, PirError> {
     RebalanceMode::parse(value).ok_or_else(|| PirError::Config {
         reason: format!("line {line_no}: rebalance expects `auto` or `off`, got `{value}`"),
@@ -1334,7 +1330,6 @@ max-lag-epochs = 1
 ";
         let parsed = FleetTopology::parse(input).expect("parses");
         assert_eq!(parsed.rebalance, RebalanceMode::Auto);
-        assert_eq!(parsed.session_tier, SessionTier::Events);
         assert_eq!(parsed.max_sessions, Some(128));
         let reparsed =
             FleetTopology::parse(&parsed.to_config_string()).expect("serialized form parses");
@@ -1368,14 +1363,31 @@ max-lag-epochs = 1
     }
 
     #[test]
-    fn session_tier_defaults_to_threads_and_round_trips() {
+    fn deprecated_session_tiers_parse_with_a_line_numbered_note() {
+        for tier in ["threads", "events"] {
+            let input = format!(
+                "[fleet]\nrecords = 64\nsession-tier = {tier}\n\n[replica a]\nlisten = 127.0.0.1:0\n"
+            );
+            let (topology, notes) = Parser::new().parse(&input).expect("still parses");
+            assert_eq!(notes.len(), 1, "{notes:?}");
+            assert!(
+                notes[0].starts_with("line 3: session-tier is deprecated"),
+                "{notes:?}"
+            );
+            assert_eq!(topology, FleetTopology::parse(minimal()).unwrap());
+        }
+        let (_, notes) = Parser::new().parse(minimal()).unwrap();
+        assert!(notes.is_empty());
+    }
+
+    #[test]
+    fn session_budget_round_trips() {
         let topology = FleetTopology::parse(minimal()).expect("parses");
-        assert_eq!(topology.session_tier, SessionTier::Threads);
         assert_eq!(topology.max_sessions, None);
-        // The serializer writes the resolved tier but omits the absent
-        // session budget, so the round trip stays the identity.
+        // The serializer omits the absent session budget (and the retired
+        // session-tier key), so the round trip stays the identity.
         let serialized = topology.to_config_string();
-        assert!(serialized.contains("session-tier = threads"));
+        assert!(!serialized.contains("session-tier"));
         assert!(!serialized.contains("max-sessions"));
         assert_eq!(
             FleetTopology::parse(&serialized).expect("reparses"),

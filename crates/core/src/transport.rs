@@ -193,17 +193,6 @@ impl<S: UpdatableBackend + Send + Sync> LocalTransport<S> {
     pub fn engine(&self) -> &QueryEngine<S> {
         &self.engine
     }
-
-    /// Mutable access to the wrapped engine.
-    pub fn engine_mut(&mut self) -> &mut QueryEngine<S> {
-        &mut self.engine
-    }
-
-    /// Unwraps the transport back into its engine.
-    #[must_use]
-    pub fn into_engine(self) -> QueryEngine<S> {
-        self.engine
-    }
 }
 
 impl<S: UpdatableBackend + Send + Sync> PirTransport for LocalTransport<S> {
@@ -603,8 +592,6 @@ pub struct TcpTransport {
     /// desync); the next operation reconnects before sending.
     broken: bool,
     info: ServerInfo,
-    uploaded_bytes: u64,
-    downloaded_bytes: u64,
 }
 
 impl TcpTransport {
@@ -640,8 +627,6 @@ impl TcpTransport {
                 shard_count: 0,
                 epoch: 0,
             },
-            uploaded_bytes: 0,
-            downloaded_bytes: 0,
         };
         transport.configure_stream()?;
         transport.handshake().map_err(|failure| match failure {
@@ -656,49 +641,6 @@ impl TcpTransport {
     #[must_use]
     pub fn cached_info(&self) -> ServerInfo {
         self.info
-    }
-
-    /// The peer address errors and logs refer to.
-    #[must_use]
-    pub fn peer(&self) -> &str {
-        &self.peer_label
-    }
-
-    /// Total request bytes this session has put on the wire (handshakes
-    /// and reconnects included).
-    #[must_use]
-    pub fn uploaded_bytes(&self) -> u64 {
-        self.uploaded_bytes
-    }
-
-    /// Total response bytes this session has taken off the wire.
-    #[must_use]
-    pub fn downloaded_bytes(&self) -> u64 {
-        self.downloaded_bytes
-    }
-
-    /// Replaces the transport's [`RetryPolicy`]. The per-attempt I/O
-    /// timeout applies from the next operation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PirError::Protocol`] if the socket rejects the timeout
-    /// (e.g. a zero duration).
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) -> Result<(), PirError> {
-        self.policy = policy;
-        self.configure_stream()
-    }
-
-    /// Bounds how long this session waits for any single socket read or
-    /// write (shorthand for updating the policy's `io_timeout`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PirError::Protocol`] if the socket rejects the timeout
-    /// (e.g. a zero duration).
-    pub fn set_io_timeout(&mut self, timeout: Option<Duration>) -> Result<(), PirError> {
-        self.policy.io_timeout = timeout;
-        self.configure_stream()
     }
 
     /// Applies the policy's socket options to the current stream.
@@ -760,7 +702,6 @@ impl TcpTransport {
             self.broken = true;
             return Err(Failure::Io(format!("writing request: {err}")));
         }
-        self.uploaded_bytes += request.len() as u64;
         let mut prefix = [0u8; 4];
         if let Err(err) = self.stream.read_exact(&mut prefix) {
             self.broken = true;
@@ -780,7 +721,6 @@ impl TcpTransport {
             self.broken = true;
             return Err(Failure::Io(format!("reading reply body: {err}")));
         }
-        self.downloaded_bytes += buf.len() as u64;
         Frame::decode(&buf).map_err(|err| {
             self.broken = true;
             Failure::Fatal(self.error(&format!("decoding reply: {err}")))
@@ -1053,18 +993,6 @@ impl MuxConnection {
         })
     }
 
-    /// The server info captured at the connection handshake.
-    #[must_use]
-    pub fn cached_info(&self) -> ServerInfo {
-        self.info
-    }
-
-    /// The peer address errors and logs refer to.
-    #[must_use]
-    pub fn peer(&self) -> &str {
-        &self.shared.peer_label
-    }
-
     /// Whether the connection is known dead (every further request on
     /// any of its sessions fails fast; the owner should replace it).
     #[must_use]
@@ -1123,12 +1051,6 @@ impl std::fmt::Debug for MuxSession {
 }
 
 impl MuxSession {
-    /// This session's id on the shared connection.
-    #[must_use]
-    pub fn session_id(&self) -> u32 {
-        self.session
-    }
-
     fn error(&self, detail: &str) -> PirError {
         protocol_error(format!("{}: {detail}", self.server_label()))
     }

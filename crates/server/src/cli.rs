@@ -16,7 +16,8 @@ use std::collections::HashMap;
 use impir_core::dpxor::KernelChoice;
 use impir_core::engine::DEFAULT_JOURNAL_BATCHES;
 use impir_core::topology::{
-    BackendSpec, FleetTopology, RebalanceMode, ReplicaSpec, SessionTier, ShardPolicy, TransportKind,
+    convert_deprecated_session_tier, BackendSpec, FleetTopology, RebalanceMode, ReplicaSpec,
+    ShardPolicy, TransportKind,
 };
 use impir_core::{PirError, ShardPlan};
 
@@ -26,8 +27,7 @@ pub const USAGE: &str = "usage:
                [--shards K | --autoshard declared|calibrated]
                [--backend pim|cpu] [--scan-kernel auto|scalar|wide|unrolled]
                [--dpus D] [--clusters C] [--max-sessions N]
-               [--journal-batches N] [--io-timeout-ms T]
-               [--session-tier threads|events] [--rebalance auto|off]
+               [--journal-batches N] [--io-timeout-ms T] [--rebalance auto|off]
   impir-server --config FILE [--replica NAME] [--max-sessions N]
   impir-server --config FILE --router
   impir-server --config FILE --check
@@ -47,14 +47,13 @@ pub const USAGE: &str = "usage:
   --journal-batches N  keep the last N applied update batches replayable so
                        a lagging replica catches up over the wire
                        (default 64; 0 disables the journal)
-  --io-timeout-ms T    per-session socket read/write timeout (default 50)
+  --io-timeout-ms T    bound on the router's socket writes to replicas
+                       (default 50); the fleet file's io-timeout-ms key
 
-  --session-tier S  S = threads  one session thread per TCP connection
-                                 (default)
-                    S = events   one non-blocking readiness loop drives
-                                 every connection: constant thread count,
-                                 typed Overloaded load shedding when the
-                                 dispatcher queue backs up
+  Every replica and router serves all of its connections from one poll(2)
+  event loop: constant thread count, typed Overloaded load shedding when
+  the request queue backs up. --session-tier threads|events is deprecated
+  and ignored (it prints a note).
 
   --rebalance M   M = auto  migrate records between shards live when the
                             measured per-shard scan skew of a query wave
@@ -242,12 +241,11 @@ pub fn topology_from_flags(options: &HashMap<String, String>) -> Result<FleetTop
         Some(value) => RebalanceMode::parse(value)
             .ok_or_else(|| format!("--rebalance expects `auto` or `off`, got `{value}`"))?,
     };
-    let session_tier = match options.get("session-tier") {
-        None => SessionTier::default(),
-        Some(value) => SessionTier::parse(value).ok_or_else(|| {
-            format!("--session-tier expects `threads` or `events`, got `{value}`")
-        })?,
-    };
+    if let Some(value) = options.get("session-tier") {
+        let note =
+            convert_deprecated_session_tier(value).map_err(|reason| format!("--{reason}"))?;
+        eprintln!("warning: --{note}");
+    }
 
     let sharding = match options.get("autoshard").map(String::as_str) {
         None => {
@@ -303,7 +301,6 @@ pub fn topology_from_flags(options: &HashMap<String, String>) -> Result<FleetTop
     topology.scan_kernel = scan_kernel;
     topology.rebalance = rebalance;
     topology.io_timeout_ms = io_timeout_ms;
-    topology.session_tier = session_tier;
     topology.replicas.push(ReplicaSpec {
         name: FLAG_REPLICA_NAME.to_string(),
         transport: TransportKind::Tcp,
@@ -423,12 +420,12 @@ mod tests {
     }
 
     #[test]
-    fn session_tier_flag_desugars_into_the_topology() {
-        let topology = topology_from_flags(&HashMap::new()).unwrap();
-        assert_eq!(topology.session_tier, SessionTier::Threads);
-        let options = parse_options(&args(&["--session-tier", "events"])).unwrap();
-        let topology = topology_from_flags(&options).unwrap();
-        assert_eq!(topology.session_tier, SessionTier::Events);
+    fn deprecated_session_tier_flag_is_accepted_and_changes_nothing() {
+        let default = topology_from_flags(&HashMap::new()).unwrap();
+        for tier in ["threads", "events"] {
+            let options = parse_options(&args(&["--session-tier", tier])).unwrap();
+            assert_eq!(topology_from_flags(&options).unwrap(), default);
+        }
         let options = parse_options(&args(&["--session-tier", "fibers"])).unwrap();
         assert!(topology_from_flags(&options)
             .unwrap_err()

@@ -3,39 +3,33 @@
 //!
 //! [`PirService`] owns the server side of the service layer:
 //!
-//! * a **session tier** turns TCP connections into request frames. Two
-//!   interchangeable tiers exist, selected by
-//!   [`ServiceConfig::session_tier`] (topology key `session-tier`):
-//!   the **threaded** tier accepts connections off a listener and spawns a
-//!   session thread per client; the **event** tier (see [`events`],
-//!   `session-tier = events`) drives *every* connection from one
-//!   non-blocking readiness loop — thread count stays constant no matter
-//!   how many sessions connect. Both tiers speak the same
+//! * one **session tier** turns TCP connections into request frames: a
+//!   single `poll(2)` event loop (see [`events`]) drives every connection,
+//!   so the thread count stays constant no matter how many sessions
+//!   connect, and an idle server makes no wake-ups. It speaks the
 //!   [`impir_core::wire`] format (handshake, then request/response
 //!   frames);
-//! * both tiers understand **session multiplexing**
+//! * the loop understands **session multiplexing**
 //!   ([`impir_core::wire::Frame::Mux`]): many logical sessions share one
 //!   TCP connection, each request/reply pair tagged with a session id.
 //!   Plain frames belong to the connection's root session, so v1 clients
 //!   work unchanged;
-//! * the **frame is the contract** between the tiers and the code that
-//!   answers: both tiers gate the handshake and classify every later
+//! * the **frame is the contract** between the loop and the code that
+//!   answers: the loop gates the handshake and classifies every later
 //!   frame (request, `Goodbye` or protocol violation, per logical
-//!   session) through the same two functions, then forward each request
-//!   frame to one **dispatcher thread** that owns the engine and builds
-//!   every reply frame, `HelloAck` included — so the tiers answer
-//!   byte-identically by construction, and each request kind is handled
-//!   in exactly one place. Query batches from *concurrently active sessions*
-//!   are coalesced into one engine wave — the merged batch flows through
-//!   the engine's existing bounded admission queue, so cross-session
-//!   batching inherits the §3.4 pipeline (and its backpressure) instead
-//!   of re-implementing it. The dispatcher's own request queue is bounded
-//!   ([`ServiceConfig::admission_capacity`]): threaded sessions block on
-//!   it (natural backpressure), while the event tier never blocks — a
-//!   full queue makes it **shed load** with a typed
+//!   session), then forwards each request frame to one **dispatcher
+//!   thread** that owns the engine and builds every reply frame,
+//!   `HelloAck` included, so each request kind is handled in exactly one
+//!   place. Query batches from *concurrently active sessions* are
+//!   coalesced into one engine wave — the merged batch flows through the
+//!   engine's existing bounded admission queue, so cross-session batching
+//!   inherits the §3.4 pipeline (and its backpressure) instead of
+//!   re-implementing it. The dispatcher's own request queue is bounded
+//!   ([`ServiceConfig::admission_capacity`]) and the loop never blocks on
+//!   it — a full queue makes it **shed load** with a typed
 //!   [`impir_core::wire::Frame::Overloaded`] refusal and pause reading
-//!   sockets until the queue drains, so overload never buffers without
-//!   bound;
+//!   that connection until the next wave drains the queue, so overload
+//!   never buffers without bound;
 //! * updates and queries are serialised by the dispatcher, and every
 //!   response batch is tagged with the database epoch it executed
 //!   against, so clients can detect update/query interleavings that
@@ -45,8 +39,8 @@
 //!   shard dominating the scan, it executes a bounded record migration
 //!   *between* waves ([`RebalancePolicy`]) — an epoch step lagging
 //!   replicas replay like any update batch;
-//! * [`PirService::shutdown`] stops accepting, wakes idle sessions,
-//!   drains the dispatcher and joins every thread — a graceful stop.
+//! * [`PirService::shutdown`] wakes the loop, closes every connection,
+//!   drains the dispatcher and joins both threads.
 //!
 //! A session's shares are validated against the engine's DPF domain
 //! *before* they join a merged wave: one client with stale geometry gets
@@ -57,23 +51,28 @@
 //! `impir-server` binary's classic flags desugar into the same topology
 //! value (see [`cli`]), so there is exactly one construction path. The
 //! [`router`] module adds the front tier that spreads client sessions
-//! over a topology's replicas; its client connections run the threaded
-//! tier's session loop with a forwarding responder in place of the
+//! over a topology's replicas; its client connections run on the same
+//! event loop, with a fixed pool of forwarding workers in place of the
 //! dispatcher.
+//!
+//! The crate is unix-only: the event loop blocks in `poll(2)`, the one
+//! foreign call, confined to a private module that alone may use
+//! `unsafe`.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
+
+#[cfg(not(unix))]
+compile_error!("impir-server serves from a poll(2) event loop and needs a unix target");
 
 pub mod cli;
 pub mod events;
+#[allow(unsafe_code)]
+mod poll;
 pub mod router;
 
-use std::collections::HashSet;
-use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
-use std::time::Duration;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use impir_core::batch::UpdatableBackend;
@@ -81,7 +80,7 @@ use impir_core::database::Database;
 use impir_core::engine::QueryEngine;
 use impir_core::rebalance::{RebalanceConfig, RebalancePlanner};
 use impir_core::server::phases::PhaseBreakdown;
-use impir_core::topology::{FleetTopology, RebalanceMode, SessionTier};
+use impir_core::topology::{FleetTopology, RebalanceMode};
 use impir_core::transport::ServerInfo;
 use impir_core::wire::{
     update_batch_frame_bytes, Frame, FRAME_HEADER_BYTES, MAX_FRAME_BYTES, WIRE_VERSION,
@@ -112,24 +111,10 @@ pub struct ServiceConfig {
     /// *multiplexed* session opened past the budget is refused with an
     /// error frame while its connection stays usable.
     pub max_sessions: Option<usize>,
-    /// Which session tier turns connections into requests:
-    /// [`SessionTier::Threads`] spawns one session thread per TCP
-    /// connection, [`SessionTier::Events`] drives every connection from
-    /// one non-blocking readiness loop (constant thread count, load
-    /// shedding under overload). The topology key `session-tier` sets
-    /// this.
-    pub session_tier: SessionTier,
     /// Capacity of the dispatcher's bounded admission queue, in requests.
-    /// Threaded sessions block on a full queue (backpressure through the
-    /// socket); the event tier sheds instead — see
+    /// The event loop never blocks on a full queue; it sheds instead — see
     /// [`impir_core::wire::Frame::Overloaded`].
     pub admission_capacity: usize,
-    /// Per-session socket read/write timeout: how long a blocked session
-    /// read or write sleeps before waking to re-check the shutdown flag
-    /// (and retry). Shorter values make shutdown and fault detection
-    /// snappier at the cost of more wakeups; `--io-timeout-ms` on the
-    /// `impir-server` binary sets this.
-    pub io_timeout: Duration,
     /// Upper bound, in encoded bytes, on one `UpdateReplay` reply frame.
     /// A journal replay larger than this is sent as the longest prefix
     /// that fits; the client re-requests from its advanced epoch until it
@@ -145,9 +130,7 @@ impl Default for ServiceConfig {
         ServiceConfig {
             coalesce_limit: 16,
             max_sessions: None,
-            session_tier: SessionTier::default(),
             admission_capacity: 64,
-            io_timeout: Duration::from_millis(50),
             max_replay_frame_bytes: MAX_FRAME_BYTES,
         }
     }
@@ -158,8 +141,9 @@ impl ServiceConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`PirError::Config`] for a zero coalesce limit or a zero
-    /// I/O timeout (the OS rejects zero socket timeouts).
+    /// Returns [`PirError::Config`] for a zero coalesce limit or admission
+    /// capacity, and for a replay frame bound outside
+    /// [`MIN_REPLAY_FRAME_BYTES`]`..=`[`MAX_FRAME_BYTES`].
     pub fn validate(&self) -> Result<(), PirError> {
         if self.coalesce_limit == 0 {
             return Err(PirError::Config {
@@ -169,11 +153,6 @@ impl ServiceConfig {
         if self.admission_capacity == 0 {
             return Err(PirError::Config {
                 reason: "the dispatcher admission capacity must be at least 1".to_string(),
-            });
-        }
-        if self.io_timeout.is_zero() {
-            return Err(PirError::Config {
-                reason: "the session I/O timeout must be non-zero".to_string(),
             });
         }
         if self.max_replay_frame_bytes < MIN_REPLAY_FRAME_BYTES
@@ -232,15 +211,11 @@ impl<S> RebalancePolicy<S> {
     }
 }
 
-/// The [`ServiceConfig`] a topology implies: its `io-timeout-ms` becomes
-/// the per-session socket timeout, `session-tier` picks the session tier
-/// and `max-sessions` the logical-session budget; everything else keeps
-/// its default.
+/// The [`ServiceConfig`] a topology implies: its `max-sessions` becomes
+/// the logical-session budget; everything else keeps its default.
 #[must_use]
 pub fn service_config_for(topology: &FleetTopology) -> ServiceConfig {
     ServiceConfig {
-        io_timeout: topology.service_io_timeout(),
-        session_tier: topology.session_tier,
         max_sessions: topology.max_sessions,
         ..ServiceConfig::default()
     }
@@ -294,11 +269,6 @@ pub fn build_service_with(
     PirService::bind_with_rebalancer(engine, listen, config, rebalancer)
 }
 
-/// How often the blocked *accept* loop wakes up to check the shutdown
-/// flag. Session reads/writes wake on [`ServiceConfig::io_timeout`]
-/// instead.
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
-
 /// Smallest accepted [`ServiceConfig::max_replay_frame_bytes`]: room for
 /// the frame tag, the batch-count prefix, and at least one tiny batch.
 pub const MIN_REPLAY_FRAME_BYTES: usize = 64;
@@ -307,15 +277,30 @@ pub const MIN_REPLAY_FRAME_BYTES: usize = 64;
 /// its reply frame goes (a dedicated bounded channel per request).
 pub(crate) type Request = (Frame, Sender<Frame>);
 
-/// A running PIR server: accept loop, session threads and the dispatcher
-/// that owns the engine. Dropping the handle shuts the service down.
+/// A running PIR server: the event loop that serves every connection and
+/// the dispatcher that owns the engine. Dropping the handle shuts the
+/// service down.
 #[derive(Debug)]
 pub struct PirService {
     addr: SocketAddr,
     plan: impir_core::ShardPlan,
-    shutdown: Arc<AtomicBool>,
-    accept_handle: Option<std::thread::JoinHandle<()>>,
-    dispatcher_handle: Option<std::thread::JoinHandle<()>>,
+    events: events::EventLoop,
+    dispatcher: Option<std::thread::JoinHandle<()>>,
+}
+
+/// The name of every event-loop thread, replica or router: `/proc` shows
+/// it, so an operator (or a test) can find the loop among the threads.
+pub const EVENT_LOOP_THREAD: &str = "impir-events";
+
+/// Spawns a named service thread.
+pub(crate) fn spawn_named(
+    name: &str,
+    body: impl FnOnce() + Send + 'static,
+) -> Result<std::thread::JoinHandle<()>, PirError> {
+    std::thread::Builder::new()
+        .name(name.to_string())
+        .spawn(body)
+        .map_err(|err| protocol(&format!("spawning the {name} thread: {err}")))
 }
 
 impl PirService {
@@ -324,7 +309,8 @@ impl PirService {
     /// # Errors
     ///
     /// Returns [`PirError::Config`] for an invalid `config` and
-    /// [`PirError::Protocol`] if the listener cannot be bound.
+    /// [`PirError::Protocol`] if the listener cannot be bound or the
+    /// service's threads cannot start.
     pub fn bind<S>(
         engine: QueryEngine<S>,
         addr: impl ToSocketAddrs,
@@ -353,84 +339,37 @@ impl PirService {
     where
         S: UpdatableBackend + Send + Sync + 'static,
     {
-        let listener = TcpListener::bind(addr).map_err(|err| PirError::Protocol {
-            reason: format!("binding listener: {err}"),
-        })?;
-        PirService::serve_with_rebalancer(engine, listener, config, rebalancer)
-    }
-
-    /// Starts serving `engine` on an already-bound listener.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PirError::Config`] for an invalid `config` and
-    /// [`PirError::Protocol`] if the listener cannot be inspected or made
-    /// non-blocking.
-    pub fn serve<S>(
-        engine: QueryEngine<S>,
-        listener: TcpListener,
-        config: ServiceConfig,
-    ) -> Result<Self, PirError>
-    where
-        S: UpdatableBackend + Send + Sync + 'static,
-    {
-        PirService::serve_with_rebalancer(engine, listener, config, None)
-    }
-
-    /// [`PirService::serve`] with an optional live-rebalancing policy.
-    ///
-    /// # Errors
-    ///
-    /// As for [`PirService::serve`].
-    pub fn serve_with_rebalancer<S>(
-        engine: QueryEngine<S>,
-        listener: TcpListener,
-        config: ServiceConfig,
-        rebalancer: Option<RebalancePolicy<S>>,
-    ) -> Result<Self, PirError>
-    where
-        S: UpdatableBackend + Send + Sync + 'static,
-    {
         config.validate()?;
-        let addr = listener.local_addr().map_err(|err| PirError::Protocol {
-            reason: format!("reading listener address: {err}"),
-        })?;
-        // Non-blocking accept so the loop can observe the shutdown flag.
-        listener
-            .set_nonblocking(true)
-            .map_err(|err| PirError::Protocol {
-                reason: format!("configuring listener: {err}"),
-            })?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        // Bounded admission: threaded sessions block on a full queue, the
-        // event tier sheds with an `Overloaded` refusal instead — either
-        // way overload never buffers requests without bound.
-        let (requests, request_rx) = bounded::<Request>(config.admission_capacity);
         let plan = engine.plan().clone();
-
-        let dispatcher_handle = std::thread::spawn(move || {
-            dispatcher_loop(engine, &request_rx, config, rebalancer);
+        let mut dispatcher = None;
+        // The loop owns the only request sender, so the dispatcher ends
+        // exactly when the loop has. Bounded admission: the loop sheds
+        // with an `Overloaded` refusal when the queue is full, so overload
+        // never buffers requests without bound.
+        let spawned = events::EventLoop::spawn(addr, config.max_sessions, |waker| {
+            let (requests, request_rx) = bounded::<Request>(config.admission_capacity);
+            let waker = waker.clone();
+            dispatcher = Some(spawn_named("impir-dispatch", move || {
+                dispatcher_loop(engine, &request_rx, config, rebalancer, &waker);
+            })?);
+            Ok(requests)
         });
-
-        // Each threaded session gets its own clone of the request sender;
-        // the master clone drops with this thread, so the dispatcher ends
-        // exactly when the last session has.
-        let accept_shutdown = Arc::clone(&shutdown);
-        let accept_handle = std::thread::spawn(move || match config.session_tier {
-            SessionTier::Threads => {
-                accept_loop(&listener, &accept_shutdown, config, || requests.clone());
+        let (events, addr) = match spawned {
+            Ok(spawned) => spawned,
+            Err(err) => {
+                // The request sender is gone, so a dispatcher that started
+                // returns at once.
+                if let Some(handle) = dispatcher {
+                    let _ = handle.join();
+                }
+                return Err(err);
             }
-            SessionTier::Events => {
-                events::event_loop(&listener, &requests, &accept_shutdown, config);
-            }
-        });
-
+        };
         Ok(PirService {
             addr,
             plan,
-            shutdown,
-            accept_handle: Some(accept_handle),
-            dispatcher_handle: Some(dispatcher_handle),
+            events,
+            dispatcher,
         })
     }
 
@@ -448,33 +387,30 @@ impl PirService {
         &self.plan
     }
 
-    /// Gracefully stops the service: no new connections are accepted,
-    /// idle sessions are woken and closed, in-flight requests drain, and
-    /// every thread is joined.
+    /// Stops the service: the loop is woken and closes every connection
+    /// (replies not yet written are dropped), the dispatcher finishes the
+    /// requests it holds, and both threads are joined.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
-    /// Waits for the service to end **on its own**: the accept loop exits
+    /// Waits for the service to end **on its own**: the event loop exits
     /// once its session budget ([`ServiceConfig::max_sessions`]) is spent
-    /// and every accepted session has disconnected, after which the
+    /// and every accepted connection has drained, after which the
     /// dispatcher drains and this returns. Without a session budget this
     /// blocks until the listener fails (i.e. effectively forever).
     pub fn join(mut self) {
-        if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.dispatcher_handle.take() {
-            let _ = handle.join();
-        }
+        self.events.join();
+        self.join_dispatcher();
     }
 
     fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.dispatcher_handle.take() {
+        self.events.stop();
+        self.join_dispatcher();
+    }
+
+    fn join_dispatcher(&mut self) {
+        if let Some(handle) = self.dispatcher.take() {
             let _ = handle.join();
         }
     }
@@ -486,90 +422,6 @@ impl Drop for PirService {
     }
 }
 
-/// What answers a session's request frames: the dispatcher on a replica,
-/// the pinned replica leg on a router. It answers the opening `Hello`
-/// too, with `HelloAck` or a refusal.
-pub(crate) trait Responder {
-    /// The reply frame to `request`.
-    fn respond(&mut self, request: Frame) -> Frame;
-}
-
-/// A threaded session's responder: send the request to the dispatcher,
-/// then **block** for its reply. The event tier forwards the same frames
-/// without blocking (see [`events`]); both tiers receive the reply frames
-/// the dispatcher built, so they answer byte-identically.
-impl Responder for Sender<Request> {
-    fn respond(&mut self, request: Frame) -> Frame {
-        let (reply, replies) = bounded(1);
-        if self.send((request, reply)).is_err() {
-            return dispatcher_gone_frame();
-        }
-        replies.recv().unwrap_or_else(|_| dispatcher_gone_frame())
-    }
-}
-
-/// Accepts connections until shutdown (or the session budget is spent),
-/// then joins every session it spawned. Each session thread serves its
-/// connection with a fresh responder from `responder`.
-pub(crate) fn accept_loop<R: Responder + Send + 'static>(
-    listener: &TcpListener,
-    shutdown: &Arc<AtomicBool>,
-    config: ServiceConfig,
-    mut responder: impl FnMut() -> R,
-) {
-    let mut sessions: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    // The session budget counts *logical* sessions — handshaken root
-    // sessions plus multiplexed session ids — never raw TCP connections:
-    // a port scanner or health-check probe that connects and leaves must
-    // not consume a `--max-sessions 1` server's budget.
-    let handshaken = Arc::new(AtomicUsize::new(0));
-    while !shutdown.load(Ordering::SeqCst) {
-        if let Some(limit) = config.max_sessions {
-            if handshaken.load(Ordering::SeqCst) >= limit {
-                break;
-            }
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let session_responder = responder();
-                let session_shutdown = Arc::clone(shutdown);
-                let session_handshaken = Arc::clone(&handshaken);
-                sessions.push(std::thread::spawn(move || {
-                    session_loop(
-                        stream,
-                        session_responder,
-                        &session_shutdown,
-                        &session_handshaken,
-                        config,
-                    );
-                }));
-            }
-            Err(err)
-                if err.kind() == std::io::ErrorKind::WouldBlock
-                    || err.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => break,
-        }
-        // Reap finished sessions as we go: a serve-until-killed server
-        // would otherwise accumulate one dead JoinHandle per connection
-        // forever.
-        let mut still_running = Vec::with_capacity(sessions.len());
-        for session in sessions {
-            if session.is_finished() {
-                let _ = session.join();
-            } else {
-                still_running.push(session);
-            }
-        }
-        sessions = still_running;
-    }
-    for session in sessions {
-        let _ = session.join();
-    }
-}
-
 /// Owns the engine and answers every request frame: serialises updates
 /// against queries, coalesces concurrently pending query batches into
 /// single engine waves, and builds each reply frame.
@@ -578,15 +430,17 @@ fn dispatcher_loop<S: UpdatableBackend + Send + Sync>(
     requests: &Receiver<Request>,
     config: ServiceConfig,
     mut rebalancer: Option<RebalancePolicy<S>>,
+    waker: &events::Waker,
 ) {
     loop {
         let Ok(request) = requests.recv() else {
-            break; // every session (and the accept loop) has hung up
+            break; // the event loop has ended
         };
         let mut pending = Some(request);
         while let Some((frame, reply)) = pending.take() {
             let Frame::QueryBatch { shares } = frame else {
                 let _ = reply.send(answer(&mut engine, frame, config.max_replay_frame_bytes));
+                waker.wake();
                 continue;
             };
             // Merge whatever other sessions have already queued — never
@@ -606,6 +460,9 @@ fn dispatcher_loop<S: UpdatableBackend + Send + Sync>(
                 }
             }
             execute_wave(&mut engine, wave);
+            // One wake-up per wave: the loop writes every reply of it, and
+            // connections shed on a full queue resume reading.
+            waker.wake();
             // Between waves — with the engine otherwise idle — is the only
             // moment the dispatcher rebalances: queries and updates stay
             // strictly serialized against the plan swap.
@@ -820,304 +677,6 @@ fn execute_wave<S: UpdatableBackend + Send + Sync>(
     }
 }
 
-/// What polling reads report besides bytes.
-enum ReadOutcome {
-    /// The buffer was filled.
-    Filled,
-    /// The peer closed (or shutdown was requested) cleanly between frames.
-    Closed,
-}
-
-/// Fills `buf` from `stream`, waking every [`ServiceConfig::io_timeout`]
-/// (the stream's read timeout) to check the shutdown flag. `idle` reads
-/// (waiting for the next frame) may end with
-/// [`ReadOutcome::Closed`] on a clean disconnect or shutdown; mid-frame
-/// reads treat both as hard errors, because the framing is already
-/// half-consumed.
-fn read_full(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    shutdown: &AtomicBool,
-    idle: bool,
-) -> Result<ReadOutcome, PirError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        if shutdown.load(Ordering::SeqCst) {
-            if idle && filled == 0 {
-                return Ok(ReadOutcome::Closed);
-            }
-            return Err(PirError::Protocol {
-                reason: "server shutting down".to_string(),
-            });
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if idle && filled == 0 {
-                    return Ok(ReadOutcome::Closed);
-                }
-                return Err(PirError::Protocol {
-                    reason: "peer closed the connection mid-frame".to_string(),
-                });
-            }
-            Ok(read) => filled += read,
-            Err(err)
-                if err.kind() == std::io::ErrorKind::WouldBlock
-                    || err.kind() == std::io::ErrorKind::TimedOut
-                    || err.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(err) => {
-                return Err(PirError::Protocol {
-                    reason: format!("reading from session: {err}"),
-                })
-            }
-        }
-    }
-    Ok(ReadOutcome::Filled)
-}
-
-/// Writes all of `bytes`, waking every [`ServiceConfig::io_timeout`] (the
-/// stream's write timeout) to check the shutdown flag — a client that stops
-/// reading its socket cannot pin this session thread (and with it
-/// [`PirService::shutdown`]) in a blocked `write` forever.
-fn write_full(stream: &mut TcpStream, bytes: &[u8], shutdown: &AtomicBool) -> Result<(), PirError> {
-    use std::io::Write;
-    let mut written = 0;
-    while written < bytes.len() {
-        match stream.write(&bytes[written..]) {
-            Ok(0) => return Err(protocol("peer stopped accepting bytes mid-frame")),
-            Ok(sent) => written += sent,
-            Err(err)
-                if err.kind() == std::io::ErrorKind::WouldBlock
-                    || err.kind() == std::io::ErrorKind::TimedOut
-                    || err.kind() == std::io::ErrorKind::Interrupted =>
-            {
-                // Only abandon the write when the service is stopping AND
-                // the socket refuses bytes: a writable socket drains its
-                // already-computed reply through shutdown (graceful stop),
-                // while a client that stopped reading cannot pin this
-                // thread past one poll interval.
-                if shutdown.load(Ordering::SeqCst) {
-                    return Err(protocol("server shutting down"));
-                }
-            }
-            Err(err) => {
-                return Err(PirError::Protocol {
-                    reason: format!("writing to session: {err}"),
-                })
-            }
-        }
-    }
-    let _ = stream.flush();
-    Ok(())
-}
-
-/// Encodes and sends one frame through [`write_full`].
-fn write_session_frame(
-    stream: &mut TcpStream,
-    frame: &Frame,
-    shutdown: &AtomicBool,
-) -> Result<(), PirError> {
-    let encoded = frame.encode()?;
-    write_full(stream, &encoded, shutdown)
-}
-
-/// Reads one frame, polling for shutdown between (not within) frames.
-/// `Ok(None)` means the session ended cleanly (disconnect or shutdown).
-fn read_session_frame(
-    stream: &mut TcpStream,
-    shutdown: &AtomicBool,
-) -> Result<Option<Frame>, PirError> {
-    let mut prefix = [0u8; 4];
-    match read_full(stream, &mut prefix, shutdown, true)? {
-        ReadOutcome::Closed => return Ok(None),
-        ReadOutcome::Filled => {}
-    }
-    let length = u32::from_le_bytes(prefix) as usize;
-    if length == 0 || length > MAX_FRAME_BYTES {
-        return Err(PirError::Protocol {
-            reason: format!("frame of {length} bytes is outside the accepted range"),
-        });
-    }
-    let mut full = vec![0u8; 4 + length];
-    full[..4].copy_from_slice(&prefix);
-    match read_full(stream, &mut full[4..], shutdown, false)? {
-        ReadOutcome::Closed => unreachable!("mid-frame reads never report Closed"),
-        ReadOutcome::Filled => {}
-    }
-    Frame::decode(&full).map(Some)
-}
-
-/// One client connection on the threaded tier (and the router): the
-/// handshake, then request frames until the client hangs up, says
-/// goodbye, violates the protocol, or the service stops. Every request —
-/// plain, or multiplexed for a logical session ([`Frame::Mux`]) — goes to
-/// `responder`, and its reply returns on the session it came from.
-fn session_loop<R: Responder>(
-    mut stream: TcpStream,
-    mut responder: R,
-    shutdown: &AtomicBool,
-    handshaken: &AtomicUsize,
-    config: ServiceConfig,
-) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(config.io_timeout));
-    let _ = stream.set_write_timeout(Some(config.io_timeout));
-    let Ok(Some(first)) = read_session_frame(&mut stream, shutdown) else {
-        return;
-    };
-    let ack = handshake_refusal(&first).unwrap_or_else(|| responder.respond(first));
-    let opened = matches!(ack, Frame::HelloAck { .. });
-    if write_session_frame(&mut stream, &ack, shutdown).is_err() || !opened {
-        return;
-    }
-    handshaken.fetch_add(1, Ordering::SeqCst);
-    let mut mux_sessions = HashSet::new();
-    loop {
-        let frame = match read_session_frame(&mut stream, shutdown) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => return, // clean close
-            Err(err) => {
-                // Framing is broken: report if possible, then drop the
-                // connection.
-                let _ = write_session_frame(&mut stream, &error_frame(&err), shutdown);
-                return;
-            }
-        };
-        let (session, inbound) = inbound(frame, &mut mux_sessions, handshaken, config.max_sessions);
-        let reply = match inbound {
-            Inbound::Request(request) => responder.respond(request),
-            Inbound::Refusal(reply) => reply,
-            Inbound::Violation(reply) => {
-                let _ = write_session_frame(&mut stream, &wrap(session, reply), shutdown);
-                return;
-            }
-            // A muxed Goodbye closes only that logical session; the
-            // connection (and its other sessions) lives on.
-            Inbound::Goodbye if session.is_some() => continue,
-            Inbound::Goodbye => return,
-        };
-        if write_session_frame(&mut stream, &wrap(session, reply), shutdown).is_err() {
-            return; // the write side failed; nothing more we can do
-        }
-    }
-}
-
-/// Gates a connection's first frame, on every tier: the `Error` frame it
-/// earns — after which the connection closes — unless it is a `Hello` in
-/// this build's wire version. That `Hello` opens the root session and
-/// goes to the responder, which answers `HelloAck`.
-pub(crate) fn handshake_refusal(first: &Frame) -> Option<Frame> {
-    let message = match first {
-        Frame::Hello { version } if *version == WIRE_VERSION => return None,
-        Frame::Hello { version } => {
-            format!("server speaks wire version {WIRE_VERSION}, client sent {version}")
-        }
-        other => format!("expected Hello to open the session, got {}", other.name()),
-    };
-    Some(Frame::Error { message })
-}
-
-/// What one post-handshake frame asks of its connection.
-#[derive(Debug)]
-pub(crate) enum Inbound {
-    /// A request to answer.
-    Request(Frame),
-    /// The session said `Goodbye`: a root `Goodbye` closes the
-    /// connection, a muxed one only its logical session.
-    Goodbye,
-    /// Send this reply, then close the connection: the client violated
-    /// the protocol (a `Hello` mid-session, a server-only frame, the
-    /// reserved session id 0).
-    Violation(Frame),
-    /// Send this reply; the connection stays open (a multiplexed session
-    /// refused past the session budget).
-    Refusal(Frame),
-}
-
-/// Classifies one post-handshake frame the same way on every tier: which
-/// logical session it belongs to (`None` = the root session) and what it
-/// asks. A multiplexed session id seen for the first time claims one
-/// session from the budget (`opened` against `limit`).
-pub(crate) fn inbound(
-    frame: Frame,
-    mux_sessions: &mut HashSet<u32>,
-    opened: &AtomicUsize,
-    limit: Option<usize>,
-) -> (Option<u32>, Inbound) {
-    let (session, frame) = match frame {
-        // Session id 0 *is* the root session — it speaks plain frames; a
-        // Mux wrapper claiming it is hostile input.
-        Frame::Mux { session: 0, .. } => {
-            return (
-                None,
-                Inbound::Violation(error_frame(&protocol(
-                    "session id 0 is reserved for the connection's root session",
-                ))),
-            );
-        }
-        Frame::Mux { session, frame } => {
-            if !mux_sessions.contains(&session) {
-                if !claim_logical_session(opened, limit) {
-                    // The budget refusal is scoped to the new logical
-                    // session: its co-tenants on this connection keep
-                    // working.
-                    return (
-                        Some(session),
-                        Inbound::Refusal(error_frame(&protocol(
-                            "the server's logical session budget is exhausted",
-                        ))),
-                    );
-                }
-                mux_sessions.insert(session);
-            }
-            (Some(session), *frame)
-        }
-        plain => (None, plain),
-    };
-    let inbound = match frame {
-        Frame::Goodbye => Inbound::Goodbye,
-        request if request.is_request() => Inbound::Request(request),
-        // A nested Mux can never reach here — the decoder rejects it.
-        other => Inbound::Violation(Frame::Error {
-            message: format!("unexpected {} frame mid-session", other.name()),
-        }),
-    };
-    (session, inbound)
-}
-
-/// Wraps a reply for the logical session its request arrived on: plain
-/// for the root session, muxed with the same id otherwise.
-pub(crate) fn wrap(session: Option<u32>, reply: Frame) -> Frame {
-    match session {
-        None => reply,
-        Some(session) => Frame::Mux {
-            session,
-            frame: Box::new(reply),
-        },
-    }
-}
-
-/// Claims one logical session from the budget. Unlike the root-session
-/// count at handshake (which may overshoot, documented on
-/// [`ServiceConfig::max_sessions`]), multiplexed sessions are claimed
-/// exactly: past the budget the claim fails and the session is refused.
-fn claim_logical_session(opened: &AtomicUsize, limit: Option<usize>) -> bool {
-    match limit {
-        None => {
-            opened.fetch_add(1, Ordering::SeqCst);
-            true
-        }
-        Some(limit) => opened
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                if n < limit {
-                    Some(n + 1)
-                } else {
-                    None
-                }
-            })
-            .is_ok(),
-    }
-}
-
 pub(crate) fn protocol(reason: &str) -> PirError {
     PirError::Protocol {
         reason: reason.to_string(),
@@ -1129,11 +688,6 @@ pub(crate) fn error_frame(err: &PirError) -> Frame {
     Frame::Error {
         message: err.to_string(),
     }
-}
-
-/// The `Error` frame both tiers send when the dispatcher has exited.
-pub(crate) fn dispatcher_gone_frame() -> Frame {
-    error_frame(&protocol("service dispatcher is gone"))
 }
 
 #[cfg(test)]
@@ -1280,7 +834,7 @@ mod tests {
         let db = Arc::new(Database::random(64, 8, 71).unwrap());
         let service = spawn_cpu_service(&db, 1);
         let idle = TcpTransport::connect(service.addr()).unwrap();
-        // The session thread is blocked waiting for this client's next
+        // The event loop is blocked in poll waiting for this client's next
         // frame; shutdown must wake it and return promptly.
         service.shutdown();
         drop(idle);
@@ -1310,25 +864,38 @@ mod tests {
         joiner.join().unwrap();
     }
 
-    use impir_core::topology::SessionTier;
     use impir_core::transport::{MuxConnection, MuxSession};
 
-    fn spawn_tier_service(db: &Arc<Database>, shards: usize, tier: SessionTier) -> PirService {
-        PirService::bind(
-            cpu_engine(db, shards),
+    #[test]
+    fn a_budget_spent_by_mux_sessions_ends_the_service() {
+        let db = Arc::new(Database::random(64, 8, 81).unwrap());
+        let service = PirService::bind(
+            cpu_engine(&db, 1),
             "127.0.0.1:0",
             ServiceConfig {
-                session_tier: tier,
+                max_sessions: Some(2),
                 ..ServiceConfig::default()
             },
         )
-        .unwrap()
+        .unwrap();
+        let addr = service.addr();
+        let joiner = std::thread::spawn(move || service.join());
+        {
+            // The connection's root session and one multiplexed session
+            // spend the budget of two.
+            let connection = MuxConnection::connect(addr).unwrap();
+            let mut session = connection.session().unwrap();
+            let mut client = PirClient::new(64, 8, 4).unwrap();
+            let (shares, _) = client.generate_batch(&[0]).unwrap();
+            assert_eq!(session.query_batch(&shares).unwrap().responses.len(), 1);
+        } // disconnect → the loop drains and ends
+        joiner.join().unwrap();
     }
 
     #[test]
     fn event_tier_answers_like_the_inprocess_engine() {
         let db = Arc::new(Database::random(300, 16, 21).unwrap());
-        let service = spawn_tier_service(&db, 3, SessionTier::Events);
+        let service = spawn_cpu_service(&db, 3);
         let mut transport = TcpTransport::connect(service.addr()).unwrap();
         assert_eq!(transport.cached_info().num_records, 300);
 
@@ -1347,36 +914,28 @@ mod tests {
     }
 
     #[test]
-    fn mux_sessions_answer_correctly_on_both_tiers() {
+    fn mux_sessions_answer_like_the_inprocess_engine() {
         let db = Arc::new(Database::random(256, 8, 31).unwrap());
-        for tier in [SessionTier::Threads, SessionTier::Events] {
-            let service = spawn_tier_service(&db, 2, tier);
-            let connection = MuxConnection::connect(service.addr()).unwrap();
-            let mut local = cpu_engine(&db, 1);
-            let mut sessions: Vec<MuxSession> =
-                (0..4).map(|_| connection.session().unwrap()).collect();
-            // Interleave: every session sends, then every session's
-            // answer is checked against the in-process engine.
-            let mut expected = Vec::new();
-            for (index, session) in sessions.iter_mut().enumerate() {
-                let mut client = PirClient::new(256, 8, index as u64).unwrap();
-                let indices: Vec<u64> =
-                    (0..5).map(|i| (i * 31 + index as u64 * 13) % 256).collect();
-                let (shares, _) = client.generate_batch(&indices).unwrap();
-                let batch = session.query_batch(&shares).unwrap();
-                expected.push((shares, batch.responses));
-            }
-            for (shares, responses) in expected {
-                assert_eq!(
-                    responses,
-                    local.execute_batch(&shares).unwrap().responses,
-                    "tier {tier}"
-                );
-            }
-            drop(sessions);
-            drop(connection);
-            service.shutdown();
+        let service = spawn_cpu_service(&db, 2);
+        let connection = MuxConnection::connect(service.addr()).unwrap();
+        let mut local = cpu_engine(&db, 1);
+        let mut sessions: Vec<MuxSession> = (0..4).map(|_| connection.session().unwrap()).collect();
+        // Interleave: every session sends, then every session's answer is
+        // checked against the in-process engine.
+        let mut expected = Vec::new();
+        for (index, session) in sessions.iter_mut().enumerate() {
+            let mut client = PirClient::new(256, 8, index as u64).unwrap();
+            let indices: Vec<u64> = (0..5).map(|i| (i * 31 + index as u64 * 13) % 256).collect();
+            let (shares, _) = client.generate_batch(&indices).unwrap();
+            let batch = session.query_batch(&shares).unwrap();
+            expected.push((shares, batch.responses));
         }
+        for (shares, responses) in expected {
+            assert_eq!(responses, local.execute_batch(&shares).unwrap().responses);
+        }
+        drop(sessions);
+        drop(connection);
+        service.shutdown();
     }
 
     #[test]
@@ -1412,29 +971,5 @@ mod tests {
         assert_eq!(admitted.query_batch(&shares).unwrap().responses.len(), 1);
         drop((admitted, refused, connection));
         service.shutdown();
-    }
-
-    #[test]
-    fn event_tier_session_budget_ends_the_service() {
-        let db = Arc::new(Database::random(64, 8, 81).unwrap());
-        let service = PirService::bind(
-            cpu_engine(&db, 1),
-            "127.0.0.1:0",
-            ServiceConfig {
-                max_sessions: Some(1),
-                session_tier: SessionTier::Events,
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap();
-        let addr = service.addr();
-        let joiner = std::thread::spawn(move || service.join());
-        {
-            let mut transport = TcpTransport::connect(addr).unwrap();
-            let mut client = PirClient::new(64, 8, 4).unwrap();
-            let (shares, _) = client.generate_batch(&[0]).unwrap();
-            assert_eq!(transport.query_batch(&shares).unwrap().responses.len(), 1);
-        } // disconnect → the single budgeted session drains the loop
-        joiner.join().unwrap();
     }
 }

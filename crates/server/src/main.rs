@@ -117,7 +117,7 @@ fn serve_replica(
     match max_sessions {
         Some(n) => {
             println!("  serving {n} session(s), then exiting");
-            // The accept loop stops on its own after `n` sessions have
+            // The event loop stops on its own after `n` sessions have
             // connected and disconnected; join() waits for that.
             service.join();
         }

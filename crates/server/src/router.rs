@@ -2,18 +2,25 @@
 //!
 //! [`PirRouter`] speaks the ordinary client-side [`impir_core::wire`]
 //! protocol on its listen address — a client cannot tell a router from a
-//! replica. Its client connections run the threaded tier's own accept and
-//! session loops (handshake gate, frame classification, multiplexed
-//! sessions), with a per-connection responder in place of the
-//! dispatcher. The responder forwards each request frame **verbatim** to
-//! one of the topology's replicas and returns the replica's reply frame
-//! untouched, over a **shared multiplexed connection per replica**
+//! replica. Its client connections run on the replicas' own `poll(2)`
+//! event loop ([`crate::events`]: handshake gate, frame classification,
+//! multiplexed sessions, typed `Overloaded` shedding when its queue is
+//! full). In place of the dispatcher, the loop hands request frames to a
+//! fixed pool of router workers, so the router's thread count
+//! does not grow with its session count. A worker answers with the
+//! connection's responder, which forwards each request frame **verbatim**
+//! to one of the topology's replicas and returns the replica's reply
+//! frame untouched, over a **shared multiplexed connection per replica**
 //! ([`MuxConnection`]): every client session, health probe and catch-up
 //! replay to the same replica rides one TCP connection as its own
 //! logical [`MuxSession`], instead of dialing a fresh socket each. The
 //! router reads only one request kind itself — `UpdateBatch`, which fans
 //! out:
 //!
+//! * **pinning** — a connection's `Hello` pins a replica: its `HelloAck`
+//!   carries that replica's geometry and epoch. With no replica to pin,
+//!   the client gets the router's typed `Error` and the connection
+//!   closes;
 //! * **spreading** — sessions are assigned round-robin over the healthy
 //!   replicas, so concurrent clients land on different replicas;
 //! * **accounting** — per-replica request/response wire bytes are
@@ -48,7 +55,7 @@
 //!   replay. The ack reports the highest epoch reached.
 //!
 //! [`PirRouter::shutdown`] joins *every* thread the router started —
-//! the accept loop, each session thread, the prober, and each backend
+//! the event loop, the workers, the prober, and each backend
 //! connection's reader thread — before it returns.
 //!
 //! What the router does **not** hide: a query racing an in-flight update
@@ -57,17 +64,29 @@
 //! detects and resolves by epoch, so the client-side contract is
 //! unchanged.
 
-use std::net::{SocketAddr, TcpListener};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
+use crossbeam::channel::{bounded, Receiver, Sender};
 use impir_core::topology::{FleetTopology, RetrySpec};
 use impir_core::transport::{FrameChannel, MuxConnection, MuxSession, PirTransport};
 use impir_core::wire::{Frame, WIRE_VERSION};
 use impir_core::{PirError, UpdateOutcome};
 
-use crate::{accept_loop, error_frame, protocol, Responder, ServiceConfig};
+use crate::events::{EventLoop, Hook, Waker};
+use crate::{error_frame, protocol, spawn_named, Request};
+
+/// Router workers: the threads that forward client requests to replicas.
+/// A fixed pool, so the router's thread count does not grow with its
+/// session count.
+const ROUTER_WORKERS: usize = 8;
+
+/// Requests waiting for a router worker. Past this the event loop sheds
+/// with the same typed `Overloaded` refusal a replica sends.
+const ROUTER_QUEUE: usize = 64;
 
 /// How many times a fan-out leg waits out a replica's typed overload
 /// refusal before leaving the replica to the prober's journal replay.
@@ -107,15 +126,24 @@ impl ReplicaSlot {
         }
         (up, down)
     }
+
+    /// Folds a connection that is being dropped into the slot totals.
+    fn retire(&self, conn: &MuxConnection) {
+        self.uploaded
+            .fetch_add(conn.uploaded_bytes(), Ordering::Relaxed);
+        self.downloaded
+            .fetch_add(conn.downloaded_bytes(), Ordering::Relaxed);
+    }
 }
 
-/// State shared by the accept loop, every session thread and the prober.
+/// State shared by the event loop's hook, the workers and the prober.
 struct RouterState {
     slots: Vec<ReplicaSlot>,
     retry: RetrySpec,
-    /// Bound on any single backend socket write (reads stay unbounded:
-    /// the connections' reader threads legitimately block).
-    io_timeout: Duration,
+    /// Bound on any single backend socket write, from the topology's
+    /// `io-timeout-ms` (reads stay unbounded: the connections' reader
+    /// threads legitimately block).
+    write_timeout: Duration,
     /// Round-robin cursor for assigning new sessions (and new backends
     /// after a failover) to replicas.
     next: AtomicUsize,
@@ -143,12 +171,7 @@ impl RouterState {
             }
         }
         if let Some(dead) = guard.take() {
-            slot_ref
-                .uploaded
-                .fetch_add(dead.uploaded_bytes(), Ordering::Relaxed);
-            slot_ref
-                .downloaded
-                .fetch_add(dead.downloaded_bytes(), Ordering::Relaxed);
+            slot_ref.retire(&dead);
         }
         let conn = Arc::new(self.connect_slot(slot)?);
         *guard = Some(Arc::clone(&conn));
@@ -168,7 +191,7 @@ impl RouterState {
                 std::thread::sleep(backoff);
                 backoff = (backoff * 2).min(max_backoff);
             }
-            match MuxConnection::connect_with(addr, Some(self.io_timeout)) {
+            match MuxConnection::connect_with(addr, Some(self.write_timeout)) {
                 Ok(conn) => return Ok(conn),
                 Err(err) => last = Some(err),
             }
@@ -194,10 +217,12 @@ pub struct ReplicaTraffic {
 /// A running front-tier router. Dropping the handle shuts it down.
 pub struct PirRouter {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
     state: Arc<RouterState>,
-    accept_handle: Option<std::thread::JoinHandle<()>>,
-    prober_handle: Option<std::thread::JoinHandle<()>>,
+    events: EventLoop,
+    /// Tells the prober to stop.
+    stopping: Arc<AtomicBool>,
+    /// The workers and the prober.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl PirRouter {
@@ -233,57 +258,55 @@ impl PirRouter {
                 downloaded: AtomicU64::new(0),
             })
             .collect();
-        let io_timeout = topology.service_io_timeout();
         let state = Arc::new(RouterState {
             slots,
             retry: topology.retry,
-            io_timeout,
+            write_timeout: topology.replica_write_timeout(),
             next: AtomicUsize::new(0),
             update_lock: Mutex::new(()),
             max_lag_epochs: router.max_lag_epochs,
         });
-        let listener =
-            TcpListener::bind(router.listen.as_str()).map_err(|err| PirError::Protocol {
-                reason: format!("binding router listener on {}: {err}", router.listen),
-            })?;
-        let addr = listener.local_addr().map_err(|err| PirError::Protocol {
-            reason: format!("reading router listener address: {err}"),
-        })?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|err| PirError::Protocol {
-                reason: format!("configuring router listener: {err}"),
-            })?;
-        let shutdown = Arc::new(AtomicBool::new(false));
         let probe_interval = Duration::from_millis(router.probe_interval_ms);
-
-        // Client connections run the threaded tier's accept and session
-        // loops, with a router responder per connection in place of the
-        // dispatcher — so they accept multiplexed sessions like a replica.
-        let accept_state = Arc::clone(&state);
-        let accept_shutdown = Arc::clone(&shutdown);
-        let config = ServiceConfig {
-            io_timeout,
-            ..ServiceConfig::default()
+        // Client connections run the replicas' event loop, with the worker
+        // pool in place of the dispatcher — so they accept multiplexed
+        // sessions and shed like a replica. The loop owns the only job
+        // sender: the workers end when it has.
+        let mut threads = Vec::new();
+        let spawned = EventLoop::spawn(router.listen.as_str(), None, |waker| {
+            let (jobs, job_rx) = bounded::<Job>(ROUTER_QUEUE);
+            for _ in 0..ROUTER_WORKERS {
+                let (jobs, waker) = (job_rx.clone(), waker.clone());
+                threads.push(spawn_named("impir-router", move || {
+                    router_worker(&jobs, &waker);
+                })?);
+            }
+            let state = Arc::clone(&state);
+            Ok(RouterHook { state, jobs })
+        });
+        let (events, addr) = match spawned {
+            Ok(spawned) => spawned,
+            Err(err) => {
+                // The job sender is gone, so any worker already started
+                // returns at once.
+                for worker in threads {
+                    let _ = worker.join();
+                }
+                return Err(err);
+            }
         };
-        let accept_handle = std::thread::spawn(move || {
-            accept_loop(&listener, &accept_shutdown, config, || RouterResponder {
-                state: Arc::clone(&accept_state),
-                backend: None,
-            });
-        });
-        let prober_state = Arc::clone(&state);
-        let prober_shutdown = Arc::clone(&shutdown);
-        let prober_handle = std::thread::spawn(move || {
-            prober_loop(&prober_state, &prober_shutdown, probe_interval);
-        });
-        Ok(PirRouter {
+        let mut router = PirRouter {
             addr,
-            shutdown,
             state,
-            accept_handle: Some(accept_handle),
-            prober_handle: Some(prober_handle),
-        })
+            events,
+            stopping: Arc::new(AtomicBool::new(false)),
+            threads,
+        };
+        let (state, stopping) = (Arc::clone(&router.state), Arc::clone(&router.stopping));
+        // On failure, dropping `router` stops and joins what started.
+        router.threads.push(spawn_named("impir-prober", move || {
+            prober_loop(&state, &stopping, probe_interval);
+        })?);
+        Ok(router)
     }
 
     /// The address the router listens on (useful with port 0).
@@ -310,34 +333,29 @@ impl PirRouter {
             .collect()
     }
 
-    /// Gracefully stops the router: no new sessions, in-flight requests
-    /// drain, every thread is joined — session threads, the prober, and
-    /// each backend connection's reader thread.
+    /// Stops the router: the loop closes every client connection (replies
+    /// not yet written are dropped) and every thread is joined — the event
+    /// loop, the workers, the prober, and each backend connection's
+    /// reader thread.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_handle.take() {
+        self.events.stop();
+        self.stopping.store(true, Ordering::SeqCst);
+        for handle in self.threads.drain(..) {
+            // The prober sleeps parked between probes; wake it to notice.
+            handle.thread().unpark();
             let _ = handle.join();
         }
-        if let Some(handle) = self.prober_handle.take() {
-            let _ = handle.join();
-        }
-        // With the accept loop joined, every session thread is joined
-        // too, so the slots hold the last reference to each backend
-        // connection: dropping them here sends the connection-level
-        // Goodbyes and joins their reader threads — shutdown() returns
-        // with no router thread left running.
+        // With the loop, the workers and the prober joined, the slots hold
+        // the last reference to each backend connection: dropping them
+        // here sends the connection-level Goodbyes and joins their reader
+        // threads — shutdown() returns with no router thread left running.
         for slot in &self.state.slots {
-            if let Ok(mut guard) = slot.conn.lock() {
-                if let Some(conn) = guard.take() {
-                    slot.uploaded
-                        .fetch_add(conn.uploaded_bytes(), Ordering::Relaxed);
-                    slot.downloaded
-                        .fetch_add(conn.downloaded_bytes(), Ordering::Relaxed);
-                }
+            if let Some(conn) = slot.conn.lock().ok().and_then(|mut guard| guard.take()) {
+                slot.retire(&conn);
             }
         }
     }
@@ -471,6 +489,53 @@ fn alive(conn: &MuxConnection, session: &mut MuxSession) -> bool {
         )
 }
 
+/// One request for the worker pool: the connection's responder, and the
+/// request with its reply channel.
+type Job = (Arc<Mutex<RouterResponder>>, Request);
+
+/// The router's event-loop hook: request frames queue for the workers,
+/// each with its connection's responder.
+struct RouterHook {
+    state: Arc<RouterState>,
+    jobs: Sender<Job>,
+}
+
+impl Hook for RouterHook {
+    type Conn = Arc<Mutex<RouterResponder>>;
+    // A connection's sessions share its responder (one pinned replica
+    // leg) and are answered in order, so no worker ever waits on another
+    // worker's lock.
+    const SERIAL_PER_CONN: bool = true;
+
+    fn open(&self) -> Self::Conn {
+        Arc::new(Mutex::new(RouterResponder {
+            state: Arc::clone(&self.state),
+            backend: None,
+        }))
+    }
+
+    fn forward(&self, conn: &Self::Conn, request: Request) -> bool {
+        self.jobs.try_send((Arc::clone(conn), request)).is_ok()
+    }
+
+    fn is_full(&self) -> bool {
+        self.jobs.is_full()
+    }
+}
+
+/// One router worker: answers queued requests with their connection's
+/// responder, then wakes the event loop to write the reply.
+fn router_worker(jobs: &Receiver<Job>, waker: &Waker) {
+    while let Ok((responder, (request, reply))) = jobs.recv() {
+        let answer = match responder.lock() {
+            Ok(mut responder) => responder.respond(request),
+            Err(_) => error_frame(&protocol("router session lock poisoned")),
+        };
+        let _ = reply.send(answer);
+        waker.wake();
+    }
+}
+
 /// Answers one client connection's frames on the router: the opening
 /// `Hello` pins a replica (its `HelloAck` carries that replica's live
 /// geometry and epoch, exactly as if the client had dialed it), update
@@ -481,7 +546,8 @@ struct RouterResponder {
     backend: Option<RoutedBackend>,
 }
 
-impl Responder for RouterResponder {
+impl RouterResponder {
+    /// The reply frame to `request`.
     fn respond(&mut self, request: Frame) -> Frame {
         let reply = match (request, self.backend.as_mut()) {
             (Frame::Hello { .. }, _) => match RoutedBackend::connect(&self.state) {
@@ -612,23 +678,14 @@ fn fan_out_to_slot(state: &RouterState, slot: usize, updates: &[(u64, Vec<u8>)])
     FanOutResult::Skipped
 }
 
-/// Sleeps `total` in small steps so shutdown stays snappy.
-fn interruptible_sleep(total: Duration, shutdown: &AtomicBool) {
-    let step = Duration::from_millis(20).min(total);
-    let mut slept = Duration::ZERO;
-    while slept < total && !shutdown.load(Ordering::SeqCst) {
-        std::thread::sleep(step);
-        slept += step;
-    }
-}
-
 /// The background health/lag prober: every interval, ask every replica
 /// for its [`impir_core::EpochInfo`]; unreachable replicas are marked
 /// unhealthy, reachable ones lagging beyond `max-lag-epochs` are caught
-/// up from an ahead peer's journal and then marked healthy again.
-fn prober_loop(state: &Arc<RouterState>, shutdown: &AtomicBool, probe_interval: Duration) {
-    while !shutdown.load(Ordering::SeqCst) {
-        interruptible_sleep(probe_interval, shutdown);
+/// up from an ahead peer's journal and then marked healthy again. Between
+/// probes it sleeps parked; [`PirRouter::shutdown`] unparks it.
+fn prober_loop(state: &RouterState, shutdown: &AtomicBool, probe_interval: Duration) {
+    loop {
+        std::thread::park_timeout(probe_interval);
         if shutdown.load(Ordering::SeqCst) {
             return;
         }
@@ -737,6 +794,7 @@ mod tests {
     use impir_core::topology::{ReplicaSpec, RouterSpec};
     use impir_core::transport::{LocalTransport, TcpTransport};
     use impir_core::PirClient;
+    use std::net::TcpListener;
 
     /// Binds and releases an ephemeral port so the topology can name a
     /// concrete replica address (the classic free-port dance; fine for
@@ -761,6 +819,49 @@ mod tests {
             max_lag_epochs: 0,
         });
         topology
+    }
+
+    #[test]
+    fn a_router_without_replicas_refuses_the_handshake_and_closes() {
+        use std::io::{Read, Write};
+        // Nothing listens on the replicas' addresses.
+        let mut topology = routed_fleet(2);
+        topology.retry.attempts = 1;
+        let router = PirRouter::bind(&topology).unwrap();
+        let mut stream = std::net::TcpStream::connect(router.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let hello = Frame::Hello {
+            version: WIRE_VERSION,
+        };
+        stream.write_all(&hello.encode().unwrap()).unwrap();
+        match impir_core::wire::read_frame(&mut stream).unwrap().0 {
+            Frame::Error { message } => {
+                assert!(message.contains("no healthy replica"), "{message}");
+            }
+            other => panic!("expected the router's typed Error, got {other:?}"),
+        }
+        // A refused handshake closes the connection.
+        assert_eq!(stream.read(&mut [0u8; 1]).unwrap(), 0);
+        router.shutdown();
+    }
+
+    #[test]
+    fn a_parked_prober_does_not_delay_shutdown() {
+        let mut topology = routed_fleet(1);
+        if let Some(router) = topology.router.as_mut() {
+            router.probe_interval_ms = 60_000;
+        }
+        let router = PirRouter::bind(&topology).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        let started = std::time::Instant::now();
+        router.shutdown();
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "shutdown took {:?}",
+            started.elapsed()
+        );
     }
 
     /// The process's live thread count, from the kernel's own books.
@@ -929,7 +1030,7 @@ mod tests {
                 impir_core::wire::read_frame(&mut stream).unwrap().0
             };
             assert!(matches!(exchange(&hello), Frame::HelloAck { .. }));
-            let reply = match exchange(&crate::wrap(session, hello.clone())) {
+            let reply = match exchange(&crate::events::wrap(session, hello.clone())) {
                 Frame::Mux { session: id, frame } if Some(id) == session => *frame,
                 plain => plain,
             };
@@ -956,22 +1057,36 @@ mod tests {
         let before = live_threads();
 
         let router = PirRouter::bind(&topology).unwrap();
-        let mut transports: Vec<TcpTransport> = (0..3)
-            .map(|_| TcpTransport::connect(router.addr()).unwrap())
-            .collect();
         let mut client = PirClient::new(192, 8, 9).unwrap();
         let (shares, _) = client.generate_batch(&[1, 50]).unwrap();
-        for transport in &mut transports {
-            assert_eq!(transport.query_batch(&shares).unwrap().responses.len(), 2);
-        }
+        let open = |count: usize| -> Vec<TcpTransport> {
+            (0..count)
+                .map(|_| {
+                    let mut transport = TcpTransport::connect(router.addr()).unwrap();
+                    assert_eq!(transport.query_batch(&shares).unwrap().responses.len(), 2);
+                    transport
+                })
+                .collect()
+        };
+        // Two sessions pin both replicas, so both backend legs exist.
+        let mut transports = open(2);
+        let with_two = live_threads();
+        // Sixty-two more sessions ride the same event loop, workers and
+        // legs: the thread count does not grow with the session count
+        // (the slack absorbs other tests' threads in this process).
+        transports.extend(open(62));
+        let with_64 = live_threads();
+        assert!(
+            with_64 <= with_two + 16,
+            "64 router sessions took {with_64} threads, 2 took {with_two}"
+        );
         drop(transports);
         router.shutdown();
 
-        // The accept loop, the prober, every session thread and every
-        // backend connection's reader thread must be joined before
-        // shutdown() returns. The replicas' own session threads (they
-        // live in this process too) exit asynchronously when the
-        // connections close, so give the count a moment to settle.
+        // The event loop, the workers, the prober and every backend
+        // connection's reader thread must be joined before shutdown()
+        // returns. Threads of other tests in this process come and go, so
+        // give the count a moment to settle.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         loop {
             let now = live_threads();

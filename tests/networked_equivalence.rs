@@ -18,11 +18,12 @@ use std::sync::Arc;
 use im_pir::core::multi_server::NServerNaivePir;
 use im_pir::core::scheme::TwoServerPir;
 use im_pir::core::topology::{
-    BackendSpec, FleetTopology, RebalanceMode, ReplicaSpec, SessionTier, ShardPolicy,
+    BackendSpec, FleetTopology, RebalanceMode, ReplicaSpec, RouterSpec, ShardPolicy,
 };
 use im_pir::core::transport::{LocalTransport, MuxConnection, PirTransport, TcpTransport};
 use im_pir::core::wire::{Frame, WIRE_VERSION};
 use im_pir::core::{PirClient, PirError};
+use impir_server::router::PirRouter;
 use impir_server::{build_service, build_service_with, ServiceConfig};
 
 const RECORDS: u64 = 600;
@@ -106,12 +107,11 @@ fn tcp_and_local_transports_answer_byte_identically_across_updates() {
 }
 
 #[test]
-fn event_tier_answers_byte_identically_to_the_threaded_tier_across_updates() {
-    // The same topology served by both session tiers, compared against
-    // the same in-process oracle — pre- and post-update. This is the
-    // contract that lets `session-tier = events` swap in transparently:
-    // the dispatcher builds every reply frame for both tiers, so nothing
-    // on the wire reveals which one answered.
+fn event_tier_answers_byte_identically_to_the_oracle_across_updates() {
+    // One service, reached both ways a client can hold a session — its
+    // own connection, or a logical session multiplexed onto a shared one —
+    // compared against the same in-process oracle, pre- and post-update:
+    // nothing on the wire reveals how the event loop carried the request.
     let indices = [0u64, 1, 299, 300, 599, 123, 123];
     let updates: Vec<(u64, Vec<u8>)> = vec![
         (0, vec![0x11; RECORD_BYTES]),
@@ -119,57 +119,38 @@ fn event_tier_answers_byte_identically_to_the_threaded_tier_across_updates() {
         (599, vec![0x44; RECORD_BYTES]),
     ];
 
-    let mut threaded_topology = cpu_fleet(3);
-    threaded_topology.session_tier = SessionTier::Threads;
-    let mut event_topology = cpu_fleet(3);
-    event_topology.session_tier = SessionTier::Events;
-
-    let threaded = build_service(&threaded_topology, 0).unwrap();
-    let events = build_service(&event_topology, 0).unwrap();
-    let mut over_threads = TcpTransport::connect(threaded.addr()).unwrap();
-    let mut over_events = TcpTransport::connect(events.addr()).unwrap();
+    let service = build_service(&cpu_fleet(3), 0).unwrap();
+    let mut plain = TcpTransport::connect(service.addr()).unwrap();
+    let mux = MuxConnection::connect(service.addr()).unwrap();
+    let mut muxed = mux.session().unwrap();
     let mut oracle = LocalTransport::new(cpu_fleet(3).build_engine(0).unwrap());
 
-    assert_eq!(
-        over_events.server_info().unwrap(),
-        over_threads.server_info().unwrap()
-    );
+    assert_eq!(plain.server_info().unwrap(), oracle.server_info().unwrap());
+    assert_eq!(muxed.server_info().unwrap(), oracle.server_info().unwrap());
 
     let mut client = PirClient::new(RECORDS, RECORD_BYTES, 5).unwrap();
     let (shares, _) = client.generate_batch(&indices).unwrap();
-    let threaded_reply = over_threads.query_batch(&shares).unwrap();
-    let event_reply = over_events.query_batch(&shares).unwrap();
-    let oracle_reply = oracle.query_batch(&shares).unwrap();
-    assert_eq!(threaded_reply.responses, oracle_reply.responses);
-    assert_eq!(
-        event_reply.responses, oracle_reply.responses,
-        "pre-update responses must not depend on the session tier"
-    );
-    assert_eq!(event_reply.upload_bytes, threaded_reply.upload_bytes);
-    assert_eq!(event_reply.download_bytes, threaded_reply.download_bytes);
-
-    for transport in [
-        &mut over_threads as &mut dyn PirTransport,
-        &mut over_events,
-        &mut oracle,
-    ] {
-        assert_eq!(transport.apply_updates(&updates).unwrap().epoch, 1);
+    for round in ["pre-update", "post-update"] {
+        let expected = oracle.query_batch(&shares).unwrap();
+        for (way, transport) in [
+            ("plain", &mut plain as &mut dyn PirTransport),
+            ("muxed", &mut muxed),
+        ] {
+            let reply = transport.query_batch(&shares).unwrap();
+            assert_eq!(reply.responses, expected.responses, "{round}, {way}");
+            assert_eq!(reply.epoch, expected.epoch, "{round}, {way}");
+        }
+        // The update goes through the plain session; the muxed one sees
+        // its epoch on the next round.
+        if round == "pre-update" {
+            assert_eq!(plain.apply_updates(&updates).unwrap().epoch, 1);
+            assert_eq!(oracle.apply_updates(&updates).unwrap().epoch, 1);
+        }
     }
+    assert_eq!(muxed.epoch_info().unwrap().current_epoch, 1);
 
-    let threaded_reply = over_threads.query_batch(&shares).unwrap();
-    let event_reply = over_events.query_batch(&shares).unwrap();
-    let oracle_reply = oracle.query_batch(&shares).unwrap();
-    assert_eq!(threaded_reply.responses, oracle_reply.responses);
-    assert_eq!(
-        event_reply.responses, oracle_reply.responses,
-        "post-update responses must not depend on the session tier"
-    );
-    assert_eq!(event_reply.epoch, 1);
-
-    drop(over_threads);
-    drop(over_events);
-    threaded.shutdown();
-    events.shutdown();
+    drop((plain, muxed, mux));
+    service.shutdown();
 }
 
 #[test]
@@ -265,13 +246,10 @@ fn event_tier_sheds_overload_with_typed_refusals_and_recovers() {
     // `Overloaded` frame — not a generic error, never a dropped
     // connection — and after the queue drains the very same sessions
     // keep serving.
-    let mut topology = cpu_fleet(1);
-    topology.session_tier = SessionTier::Events;
     let service = build_service_with(
-        &topology,
+        &cpu_fleet(1),
         0,
         ServiceConfig {
-            session_tier: SessionTier::Events,
             admission_capacity: 1,
             ..ServiceConfig::default()
         },
@@ -414,9 +392,7 @@ fn hostile_mux_input_gets_a_protocol_error_not_a_crash() {
     // A nested Mux on a live event-tier connection produces a clean
     // protocol error (and a closed connection) — the server stays up and
     // keeps serving fresh connections.
-    let mut topology = cpu_fleet(1);
-    topology.session_tier = SessionTier::Events;
-    let service = build_service(&topology, 0).unwrap();
+    let service = build_service(&cpu_fleet(1), 0).unwrap();
 
     let mut stream = TcpStream::connect(service.addr()).unwrap();
     write_frame(
@@ -457,13 +433,19 @@ fn hostile_mux_input_gets_a_protocol_error_not_a_crash() {
 fn a_mid_session_hello_is_a_protocol_violation_on_every_tier() {
     // A second `Hello` after the handshake — plain on the root session or
     // muxed on a logical one — earns an `Error` frame for that session
-    // and then a closed connection, on both session tiers alike.
-    for tier in [SessionTier::Threads, SessionTier::Events] {
-        let mut topology = cpu_fleet(1);
-        topology.session_tier = tier;
-        let service = build_service(&topology, 0).unwrap();
+    // and then a closed connection, on a replica and on a router alike.
+    let mut topology = cpu_fleet(1);
+    let service = build_service(&topology, 0).unwrap();
+    topology.replicas[0].listen = Some(service.addr().to_string());
+    topology.router = Some(RouterSpec {
+        listen: "127.0.0.1:0".to_string(),
+        probe_interval_ms: 60_000,
+        max_lag_epochs: 0,
+    });
+    let router = PirRouter::bind(&topology).unwrap();
+    for (tier, addr) in [("replica", service.addr()), ("router", router.addr())] {
         for session in [None, Some(1u32)] {
-            let mut stream = TcpStream::connect(service.addr()).unwrap();
+            let mut stream = TcpStream::connect(addr).unwrap();
             stream
                 .set_read_timeout(Some(std::time::Duration::from_secs(10)))
                 .unwrap();
@@ -472,7 +454,7 @@ fn a_mid_session_hello_is_a_protocol_violation_on_every_tier() {
             };
             write_frame(&mut stream, &hello);
             let Frame::HelloAck { .. } = read_frame(&mut stream) else {
-                panic!("handshake failed on tier {tier}");
+                panic!("handshake failed on the {tier}");
             };
             let again = match session {
                 None => hello,
@@ -482,24 +464,25 @@ fn a_mid_session_hello_is_a_protocol_violation_on_every_tier() {
             let reply = match (session, read_frame(&mut stream)) {
                 (None, reply) => reply,
                 (Some(id), Frame::Mux { session, frame }) if session == id => *frame,
-                (_, other) => panic!("tier {tier}: reply for the wrong session: {other:?}"),
+                (_, other) => panic!("{tier}: reply for the wrong session: {other:?}"),
             };
             match reply {
                 Frame::Error { message } => assert!(
                     message.contains("Hello"),
-                    "tier {tier}, session {session:?}: the error names the frame: {message}"
+                    "{tier}, session {session:?}: the error names the frame: {message}"
                 ),
-                other => panic!("tier {tier}, session {session:?}: expected Error, got {other:?}"),
+                other => panic!("{tier}, session {session:?}: expected Error, got {other:?}"),
             }
             let mut rest = [0u8; 1];
             assert_eq!(
                 stream.read(&mut rest).unwrap(),
                 0,
-                "tier {tier}, session {session:?}: the violation closes the connection"
+                "{tier}, session {session:?}: the violation closes the connection"
             );
         }
-        service.shutdown();
     }
+    router.shutdown();
+    service.shutdown();
 }
 
 #[test]
@@ -507,13 +490,10 @@ fn client_side_overloaded_error_is_typed_and_retryable() {
     // The client-facing face of load shedding: a MuxSession surfaces the
     // refusal as `PirError::Overloaded` with the server's backoff hint,
     // and the same session succeeds on retry.
-    let mut topology = cpu_fleet(1);
-    topology.session_tier = SessionTier::Events;
     let service = build_service_with(
-        &topology,
+        &cpu_fleet(1),
         0,
         ServiceConfig {
-            session_tier: SessionTier::Events,
             admission_capacity: 1,
             ..ServiceConfig::default()
         },
