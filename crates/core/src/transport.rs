@@ -18,7 +18,8 @@
 //!   background reader thread routes each reply to the session that
 //!   asked, so concurrent sessions never head-of-line block on one
 //!   another's round trips. The router uses this for its backend legs
-//!   (one socket per replica instead of one per client session).
+//!   (one socket per replica instead of one per client session), sending
+//!   with [`MuxSession::send`] so no router thread waits out a round trip.
 //!
 //! Both remote kinds are [`FrameChannel`]s: a channel only carries an
 //! encoded request frame out and a reply frame back. [`PirTransport`] is
@@ -791,6 +792,10 @@ impl Drop for TcpTransport {
 // Multiplexed TCP transport: many logical sessions, one connection.
 // ---------------------------------------------------------------------------
 
+/// What the reader thread does with one session's reply (or with the
+/// connection's failure).
+type OnReply = Box<dyn FnOnce(Result<Frame, PirError>) + Send>;
+
 /// State shared between a [`MuxConnection`], its [`MuxSession`]s and the
 /// background reader thread.
 struct MuxShared {
@@ -801,7 +806,7 @@ struct MuxShared {
     /// One in-flight request per session id; the reader thread completes
     /// them as [`Frame::Mux`] replies arrive, in whatever order the
     /// server answers.
-    pending: Mutex<HashMap<u32, mpsc::Sender<Result<Frame, PirError>>>>,
+    pending: Mutex<HashMap<u32, OnReply>>,
     /// Set on any I/O failure or framing desync: the connection is dead
     /// and every subsequent request fails fast. A `MuxConnection` never
     /// reconnects itself — its owner (e.g. the router) replaces it, so
@@ -820,9 +825,12 @@ impl MuxShared {
     /// an error naming `reason`.
     fn fail(&self, reason: &str) {
         self.broken.store(true, Ordering::SeqCst);
-        let mut pending = self.pending.lock().expect("mux pending lock poisoned");
-        for (_, tx) in pending.drain() {
-            let _ = tx.send(Err(protocol_error(format!(
+        let failed: Vec<OnReply> = {
+            let mut pending = self.pending.lock().expect("mux pending lock poisoned");
+            pending.drain().map(|(_, on_reply)| on_reply).collect()
+        };
+        for on_reply in failed {
+            on_reply(Err(protocol_error(format!(
                 "multiplexed connection to server {} failed: {reason}",
                 self.peer_label
             ))));
@@ -847,17 +855,13 @@ fn mux_reader_loop(mut stream: TcpStream, shared: &MuxShared) {
         shared.downloaded.fetch_add(taken as u64, Ordering::Relaxed);
         match frame {
             Frame::Mux { session, frame } => {
-                let sender = shared
+                let on_reply = shared
                     .pending
                     .lock()
                     .expect("mux pending lock poisoned")
                     .remove(&session);
-                match sender {
-                    Some(tx) => {
-                        // A dropped receiver (caller gave up) is fine;
-                        // the reply is simply discarded.
-                        let _ = tx.send(Ok(*frame));
-                    }
+                match on_reply {
+                    Some(on_reply) => on_reply(Ok(*frame)),
                     None => {
                         // A reply for a session nobody is waiting on
                         // means the two ends disagree about the stream
@@ -1025,8 +1029,12 @@ impl Drop for MuxConnection {
             }
             let _ = writer.shutdown(std::net::Shutdown::Both);
         }
+        // A reply handler that held the last handle drops it on the
+        // reader thread itself, which must not wait for its own end.
         if let Some(reader) = self.reader.take() {
-            let _ = reader.join();
+            if reader.thread().id() != std::thread::current().id() {
+                let _ = reader.join();
+            }
         }
     }
 }
@@ -1054,6 +1062,50 @@ impl MuxSession {
     fn error(&self, detail: &str) -> PirError {
         protocol_error(format!("{}: {detail}", self.server_label()))
     }
+
+    /// Sends one encoded plain request frame on this session without
+    /// waiting for the reply. `on_reply` runs exactly once: on the
+    /// connection's reader thread with the reply frame, or with the
+    /// failure that prevented one (on this thread, if the request never
+    /// left). One request per session may be in flight at a time.
+    pub fn send(
+        &self,
+        request: &[u8],
+        on_reply: impl FnOnce(Result<Frame, PirError>) + Send + 'static,
+    ) {
+        let encoded = match wire::encode_mux(self.session, request) {
+            Ok(encoded) => encoded,
+            Err(err) => return on_reply(Err(err)),
+        };
+        {
+            // Checked under the pending lock: a failure that lands after
+            // this check finds the request pending and fails it.
+            let mut pending = self
+                .shared
+                .pending
+                .lock()
+                .expect("mux pending lock poisoned");
+            if self.shared.broken.load(Ordering::SeqCst) {
+                drop(pending);
+                return on_reply(Err(self.error("connection is broken")));
+            }
+            pending.insert(self.session, Box::new(on_reply));
+        }
+        let mut writer = self.shared.writer.lock().expect("mux writer lock poisoned");
+        match writer.write_all(&encoded).and_then(|()| writer.flush()) {
+            Ok(()) => {
+                self.shared
+                    .uploaded
+                    .fetch_add(encoded.len() as u64, Ordering::Relaxed);
+            }
+            // Failing the connection hands every pending request —
+            // this one included — its failure.
+            Err(err) => {
+                drop(writer);
+                self.shared.fail(&format!("writing request: {err}"));
+            }
+        }
+    }
 }
 
 impl FrameChannel for MuxSession {
@@ -1062,27 +1114,12 @@ impl FrameChannel for MuxSession {
     /// there are no retries here: a mux connection is shared, so recovery
     /// (a replacement connection) belongs to its owner.
     fn exchange(&mut self, request: &[u8], _idempotent: bool) -> Result<Frame, PirError> {
-        if self.shared.broken.load(Ordering::SeqCst) {
-            return Err(self.error("connection is broken"));
-        }
-        let encoded = wire::encode_mux(self.session, request)?;
         let (tx, rx) = mpsc::channel();
-        self.shared
-            .pending
-            .lock()
-            .expect("mux pending lock poisoned")
-            .insert(self.session, tx);
-        {
-            let mut writer = self.shared.writer.lock().expect("mux writer lock poisoned");
-            if let Err(err) = writer.write_all(&encoded).and_then(|()| writer.flush()) {
-                drop(writer);
-                self.shared.fail(&format!("writing request: {err}"));
-                return Err(self.error(&format!("writing request: {err}")));
-            }
-        }
-        self.shared
-            .uploaded
-            .fetch_add(encoded.len() as u64, Ordering::Relaxed);
+        self.send(request, move |reply| {
+            // A caller that gave up has dropped the receiver; the reply
+            // is simply discarded.
+            let _ = tx.send(reply);
+        });
         rx.recv()
             .unwrap_or_else(|_| Err(self.error("connection closed before the reply arrived")))
     }

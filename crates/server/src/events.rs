@@ -15,13 +15,18 @@
 //!   typed [`Frame::Overloaded`] refusal and pause reading that connection
 //!   until the queue has room again, so overload never buffers requests
 //!   without bound;
-//! * whoever answers sends the reply frame on the request's own channel
-//!   and then writes a byte to the wake pair ([`Waker`]). The loop collects
-//!   the replies, wraps each for the logical session that sent the request
-//!   ([`Frame::Mux`]) and writes them back as the sockets accept bytes; a
-//!   connection whose write buffer backs up stops being read until it
-//!   drains. The dispatcher wakes the loop once per wave, which is also
-//!   when shed connections resume: the wave pulled requests off the queue.
+//! * whoever answers sends the reply frame through the request's
+//!   [`Reply`], which writes a byte to the wake pair ([`Waker`]). The loop
+//!   collects the replies, wraps each for the logical session that sent
+//!   the request ([`Frame::Mux`]) and writes them back as the sockets
+//!   accept bytes; a connection whose write buffer backs up stops being
+//!   read until it drains. The dispatcher wakes the loop once per wave,
+//!   which is also when shed connections resume: the wave pulled requests
+//!   off the queue. A [`Reply`] dropped unanswered — its answerer panicked
+//!   or is gone — wakes the loop too, and the client gets an error frame;
+//! * shutdown stops accepting and reading, then keeps serving until every
+//!   reply already owed has been written (at most [`SHUTDOWN_DRAIN`]), so
+//!   an update in flight at shutdown still reaches its client as an ack.
 //!
 //! Thread count is constant: the loop plus the dispatcher (or the router's
 //! fixed worker pool), no matter how many sessions connect.
@@ -40,13 +45,14 @@ use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
 use impir_core::wire::{Frame, MAX_FRAME_BYTES, WIRE_VERSION};
 use impir_core::PirError;
 
 use crate::poll::{self, PollFd, POLLIN, POLLOUT};
-use crate::{error_frame, protocol, spawn_named, Request, EVENT_LOOP_THREAD};
+use crate::{error_frame, protocol, spawn_named, EVENT_LOOP_THREAD};
 
 /// Bytes read from one socket per readiness event.
 const READ_CHUNK_BYTES: usize = 64 << 10;
@@ -68,6 +74,11 @@ const ACCEPT_RETRY_MS: i32 = 100;
 /// The backoff hint carried by [`Frame::Overloaded`] refusals.
 pub(crate) const OVERLOAD_RETRY_MS: u64 = 25;
 
+/// How long a stopping loop keeps writing the replies it still owes
+/// before it closes every connection anyway (a client that never reads
+/// cannot hold shutdown up).
+pub(crate) const SHUTDOWN_DRAIN: Duration = Duration::from_secs(2);
+
 /// The write end of an event loop's wake pair: one byte makes the loop's
 /// `poll` return. Clones share one socket.
 #[derive(Debug, Clone)]
@@ -78,6 +89,54 @@ impl Waker {
     /// wake-up is already pending.
     pub(crate) fn wake(&self) {
         let _ = (&*self.0).write(&[1]);
+    }
+}
+
+/// Where one request's reply frame goes. Sending the reply, or dropping
+/// the `Reply` unanswered (its answerer panicked, or its queue is gone),
+/// wakes the loop, so a client never waits on an answer that cannot come.
+pub(crate) struct Reply {
+    /// `None` once the reply is sent.
+    frame: Option<Sender<Frame>>,
+    waker: Waker,
+    /// Whether dropping this wakes the loop.
+    wake: bool,
+}
+
+impl Reply {
+    /// Sends the reply frame and wakes the loop.
+    pub(crate) fn send(mut self, frame: Frame) {
+        self.deliver(frame);
+    }
+
+    /// Sends the reply frame without waking the loop: the caller wakes it
+    /// once for a whole wave of replies.
+    pub(crate) fn send_unwoken(mut self, frame: Frame) {
+        self.wake = false;
+        self.deliver(frame);
+    }
+
+    fn deliver(&mut self, frame: Frame) {
+        if let Some(sender) = self.frame.take() {
+            let _ = sender.send(frame);
+        }
+    }
+
+    /// Drops a request the loop itself refuses (a shed): the loop is
+    /// awake already.
+    fn discard(mut self) {
+        self.wake = false;
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        // The channel closes before the wake-up, so a woken loop finds
+        // either the reply or the closed channel, never an empty one.
+        drop(self.frame.take());
+        if self.wake {
+            self.waker.wake();
+        }
     }
 }
 
@@ -115,9 +174,9 @@ impl EventLoop {
             bound.map_err(|err| protocol(&format!("binding listener: {err}")))?;
         let hook = start(&waker)?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&shutdown);
+        let (flag, replies) = (Arc::clone(&shutdown), waker.clone());
         let thread = spawn_named(EVENT_LOOP_THREAD, move || {
-            event_loop(&listener, &wake, &hook, &flag, max_sessions);
+            event_loop(&listener, (&wake, &replies), &hook, &flag, max_sessions);
         })?;
         let events = EventLoop {
             shutdown,
@@ -134,7 +193,9 @@ impl EventLoop {
         }
     }
 
-    /// Wakes the loop to close every connection, and waits for it.
+    /// Wakes the loop to stop, and waits for it: it accepts and reads no
+    /// more, writes the replies it still owes (for at most
+    /// [`SHUTDOWN_DRAIN`]) and closes every connection.
     pub(crate) fn stop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.waker.wake();
@@ -148,9 +209,13 @@ impl Drop for EventLoop {
     }
 }
 
+/// One request on its way to whoever answers it: the request frame and
+/// where its reply frame goes.
+pub(crate) type Request = (Frame, Reply);
+
 /// Where a connection's request frames go: the dispatcher on a replica,
 /// the router's worker pool on a router. Whoever answers a request sends
-/// its reply frame on the request's channel, then wakes the loop.
+/// its reply frame through the request's [`Reply`].
 pub(crate) trait Hook {
     /// What the hook keeps per connection (a router's pinned replica leg).
     type Conn;
@@ -159,9 +224,9 @@ pub(crate) trait Hook {
     const SERIAL_PER_CONN: bool = false;
     /// The state of a newly accepted connection.
     fn open(&self) -> Self::Conn;
-    /// Hands `request` on without blocking; `false` when the queue is full
-    /// and the loop must shed it.
-    fn forward(&self, conn: &Self::Conn, request: Request) -> bool;
+    /// Hands `request` on without blocking, or gives its [`Reply`] back
+    /// when the queue is full and the loop must shed it.
+    fn forward(&self, conn: &Self::Conn, request: Request) -> Result<(), Reply>;
     /// Whether the queue is full.
     fn is_full(&self) -> bool;
 }
@@ -172,13 +237,13 @@ impl Hook for Sender<Request> {
 
     fn open(&self) {}
 
-    fn forward(&self, (): &(), request: Request) -> bool {
-        // A gone dispatcher drops the request with its reply sender, so
-        // the pending reply polls as the dispatcher-gone error.
-        !matches!(
-            self.try_send(request),
-            Err(crossbeam::channel::TrySendError::Full(_))
-        )
+    fn forward(&self, (): &(), request: Request) -> Result<(), Reply> {
+        match self.try_send(request) {
+            Err(TrySendError::Full((_, reply))) => Err(reply),
+            // A gone dispatcher drops the request: its `Reply` wakes the
+            // loop, and the pending reply polls as the answerer-gone error.
+            Ok(()) | Err(TrySendError::Disconnected(_)) => Ok(()),
+        }
     }
 
     fn is_full(&self) -> bool {
@@ -276,10 +341,11 @@ fn would_block(err: &std::io::Error) -> bool {
 /// Serves `listener` until shutdown (or, with a session budget, until the
 /// budget is spent and every connection has drained — the natural end
 /// [`crate::PirService::join`] waits for). `wake` is the read end of the
-/// pair whose [`Waker`] the hook's answerers and the shutdown path hold.
+/// pair whose [`Waker`] the answerers and the shutdown path hold, and
+/// `waker` its write end, which every [`Reply`] the loop hands out carries.
 fn event_loop<H: Hook>(
     listener: &TcpListener,
-    wake: &UnixStream,
+    (wake, waker): (&UnixStream, &Waker),
     hook: &H,
     shutdown: &AtomicBool,
     max_sessions: Option<usize>,
@@ -292,12 +358,31 @@ fn event_loop<H: Hook>(
     let mut fds: Vec<PollFd> = Vec::new();
     let mut scratch = vec![0u8; READ_CHUNK_BYTES];
     let mut accept_paused = false;
-    while !shutdown.load(Ordering::SeqCst) {
+    // Set once shutdown is asked for: the moment the loop stops draining.
+    let mut deadline: Option<Instant> = None;
+    loop {
+        if deadline.is_none() && shutdown.load(Ordering::SeqCst) {
+            deadline = Some(Instant::now() + SHUTDOWN_DRAIN);
+            // Requests not yet handed on are dropped unanswered; the ones
+            // in flight still get their replies written.
+            for conn in &mut conns {
+                conn.queued.clear();
+                conn.closing = true;
+            }
+        }
         let budget_spent = budget.limit.is_some_and(|limit| budget.opened >= limit);
-        if budget_spent && conns.is_empty() {
+        if (budget_spent || deadline.is_some()) && conns.is_empty() {
             return;
         }
-        let listen = if budget_spent || accept_paused {
+        let timeout = match deadline {
+            Some(deadline) => match deadline.checked_duration_since(Instant::now()) {
+                Some(left) => i32::try_from(left.as_millis() + 1).unwrap_or(i32::MAX),
+                None => return,
+            },
+            None if accept_paused => ACCEPT_RETRY_MS,
+            None => -1,
+        };
+        let listen = if budget_spent || accept_paused || deadline.is_some() {
             0
         } else {
             POLLIN
@@ -306,7 +391,6 @@ fn event_loop<H: Hook>(
         fds.push(PollFd::new(wake.as_raw_fd(), POLLIN));
         fds.push(PollFd::new(listener.as_raw_fd(), listen));
         fds.extend(conns.iter().map(Conn::interest));
-        let timeout = if accept_paused { ACCEPT_RETRY_MS } else { -1 };
         match poll::wait(&mut fds, timeout) {
             Ok(0) => accept_paused = false,
             Ok(_) => {}
@@ -318,7 +402,8 @@ fn event_loop<H: Hook>(
         }
         for (conn, fd) in conns.iter_mut().zip(&fds[2..]) {
             if fd.ready() || !conn.inflight.is_empty() || conn.shed {
-                tick(conn, fd.readable(), hook, &mut budget, &mut scratch);
+                let io = (fd.readable(), waker);
+                tick(conn, io, hook, &mut budget, &mut scratch);
             }
         }
         let live = conns.len();
@@ -541,7 +626,7 @@ impl Budget {
 /// if the socket has bytes, parse and dispatch, flush writes.
 fn tick<H: Hook>(
     conn: &mut Conn<H::Conn>,
-    readable: bool,
+    (readable, waker): (bool, &Waker),
     hook: &H,
     budget: &mut Budget,
     scratch: &mut [u8],
@@ -575,7 +660,7 @@ fn tick<H: Hook>(
 
     // Dispatching frees room in the pending queue for complete frames
     // still in the read buffer, so go round until neither step moves.
-    while parse_frames(conn, budget) | dispatch(conn, hook) {}
+    while parse_frames(conn, budget) | dispatch(conn, hook, waker) {}
 
     flush_writes(conn);
 }
@@ -583,7 +668,7 @@ fn tick<H: Hook>(
 /// Hands queued requests to the hook — at most one in flight per logical
 /// session (per connection, for [`Hook::SERIAL_PER_CONN`]), and none past
 /// an unanswered `Hello`. Whether any frame left the queue.
-fn dispatch<H: Hook>(conn: &mut Conn<H::Conn>, hook: &H) -> bool {
+fn dispatch<H: Hook>(conn: &mut Conn<H::Conn>, hook: &H, waker: &Waker) -> bool {
     let mut progressed = false;
     let mut index = 0;
     while index < conn.queued.len() && !conn.awaiting_ack {
@@ -600,19 +685,25 @@ fn dispatch<H: Hook>(conn: &mut Conn<H::Conn>, hook: &H) -> bool {
             Inbound::Request(request) => {
                 // A `Hello` is only ever a request as the opening frame.
                 conn.awaiting_ack = matches!(request, Frame::Hello { .. });
-                let (reply, pending) = bounded(1);
-                if hook.forward(&conn.hook, (request, reply)) {
-                    conn.inflight.insert(session, pending);
-                } else {
+                let (frame, pending) = bounded(1);
+                let reply = Reply {
+                    frame: Some(frame),
+                    waker: waker.clone(),
+                    wake: true,
+                };
+                if let Err(reply) = hook.forward(&conn.hook, (request, reply)) {
                     // Typed admission control: a shed request is refused
                     // before execution, the client backs off and retries,
                     // and this connection stops being read until the
                     // queue has room.
+                    reply.discard();
                     conn.shed = true;
                     let shed = Frame::Overloaded {
                         retry_after_ms: OVERLOAD_RETRY_MS,
                     };
                     deliver(conn, session, shed);
+                } else {
+                    conn.inflight.insert(session, pending);
                 }
             }
             Inbound::Refusal(reply) => enqueue_reply(conn, session, reply),
@@ -736,14 +827,15 @@ fn enqueue_reply<C>(conn: &mut Conn<C>, session: Option<u32>, reply: Frame) {
 }
 
 /// The reply frame, once answered. A disconnected reply channel (the
-/// answerer is gone) yields an error frame.
+/// answerer dropped the [`Reply`]: it panicked, or its queue is gone)
+/// yields an error frame.
 fn poll_reply(pending: &Receiver<Frame>) -> Option<Frame> {
     match pending.try_recv() {
         Ok(frame) => Some(frame),
         Err(TryRecvError::Empty) => None,
-        Err(TryRecvError::Disconnected) => {
-            Some(error_frame(&protocol("service dispatcher is gone")))
-        }
+        Err(TryRecvError::Disconnected) => Some(error_frame(&protocol(
+            "the request's answerer is gone (the service dispatcher or router worker failed)",
+        ))),
     }
 }
 
@@ -758,24 +850,41 @@ mod tests {
     /// recovery needs no reconnect.
     #[test]
     fn full_admission_queue_sheds_and_recovers() {
+        let (mut wake, waker) = UnixStream::pair().unwrap();
+        wake.set_nonblocking(true).unwrap();
+        let waker = Waker(Arc::new(waker));
+        let reply = || {
+            let (frame, pending) = bounded(1);
+            let waker = waker.clone();
+            let reply = Reply {
+                frame: Some(frame),
+                waker,
+                wake: true,
+            };
+            (reply, pending)
+        };
         let (requests, request_rx) = bounded::<Request>(1);
         let forward = |frame| {
-            let (reply, pending) = bounded(1);
-            requests.forward(&(), (frame, reply)).then_some(pending)
+            let (reply, pending) = reply();
+            requests.forward(&(), (frame, reply)).ok().map(|()| pending)
         };
         // Fill the only admission slot; the dispatcher is "busy" (nobody
         // drains the receiver yet).
-        let (reply, _keep) = bounded(1);
-        requests.try_send((Frame::EpochInfoRequest, reply)).unwrap();
+        requests
+            .try_send((Frame::EpochInfoRequest, reply().0))
+            .unwrap();
         assert!(requests.is_full());
         assert!(forward(Frame::InfoRequest).is_none());
         // The queue drains: the same connection's next request forwards.
         let _ = request_rx.try_recv().unwrap();
         assert!(forward(Frame::InfoRequest).is_some());
-        // A dead dispatcher is a different, non-retryable answer.
+        // A dead dispatcher is a different, non-retryable answer — and the
+        // dropped requests wake the loop, so nobody waits for it.
+        drop(wake.read(&mut [0u8; 64]));
         drop(request_rx);
         let gone = forward(Frame::InfoRequest).expect("not shed");
         assert!(matches!(poll_reply(&gone), Some(Frame::Error { .. })));
+        assert!(wake.read(&mut [0u8; 64]).unwrap() > 0);
     }
 
     #[test]

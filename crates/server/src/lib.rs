@@ -4,32 +4,21 @@
 //! [`PirService`] owns the server side of the service layer:
 //!
 //! * one **session tier** turns TCP connections into request frames: a
-//!   single `poll(2)` event loop (see [`events`]) drives every connection,
-//!   so the thread count stays constant no matter how many sessions
-//!   connect, and an idle server makes no wake-ups. It speaks the
-//!   [`impir_core::wire`] format (handshake, then request/response
-//!   frames);
-//! * the loop understands **session multiplexing**
-//!   ([`impir_core::wire::Frame::Mux`]): many logical sessions share one
-//!   TCP connection, each request/reply pair tagged with a session id.
-//!   Plain frames belong to the connection's root session, so v1 clients
-//!   work unchanged;
-//! * the **frame is the contract** between the loop and the code that
-//!   answers: the loop gates the handshake and classifies every later
-//!   frame (request, `Goodbye` or protocol violation, per logical
-//!   session), then forwards each request frame to one **dispatcher
-//!   thread** that owns the engine and builds every reply frame,
-//!   `HelloAck` included, so each request kind is handled in exactly one
-//!   place. Query batches from *concurrently active sessions* are
-//!   coalesced into one engine wave — the merged batch flows through the
-//!   engine's existing bounded admission queue, so cross-session batching
-//!   inherits the §3.4 pipeline (and its backpressure) instead of
-//!   re-implementing it. The dispatcher's own request queue is bounded
-//!   ([`ServiceConfig::admission_capacity`]) and the loop never blocks on
-//!   it — a full queue makes it **shed load** with a typed
-//!   [`impir_core::wire::Frame::Overloaded`] refusal and pause reading
-//!   that connection until the next wave drains the queue, so overload
-//!   never buffers without bound;
+//!   single `poll(2)` event loop ([`events`]) drives every connection, and
+//!   logical sessions multiplexed on one connection
+//!   ([`impir_core::wire::Frame::Mux`]), so the thread count stays
+//!   constant however many sessions connect, and an idle server makes no
+//!   wake-ups. It gates the handshake, classifies every later frame, and
+//!   sheds with a typed `Overloaded` refusal when the dispatcher's bounded
+//!   queue ([`ServiceConfig::admission_capacity`]) is full;
+//! * the **frame is the contract** between the loop and the one
+//!   **dispatcher thread** that owns the engine and builds every reply
+//!   frame, `HelloAck` included, so each request kind is handled in
+//!   exactly one place. Query batches from *concurrently active sessions*
+//!   are coalesced into one engine wave — the merged batch flows through
+//!   the engine's existing bounded admission queue, so cross-session
+//!   batching inherits the §3.4 pipeline (and its backpressure) instead of
+//!   re-implementing it;
 //! * updates and queries are serialised by the dispatcher, and every
 //!   response batch is tagged with the database epoch it executed
 //!   against, so clients can detect update/query interleavings that
@@ -39,8 +28,10 @@
 //!   shard dominating the scan, it executes a bounded record migration
 //!   *between* waves ([`RebalancePolicy`]) — an epoch step lagging
 //!   replicas replay like any update batch;
-//! * [`PirService::shutdown`] wakes the loop, closes every connection,
-//!   drains the dispatcher and joins both threads.
+//! * [`PirService::shutdown`] wakes the loop, which stops accepting and
+//!   reading but still writes every reply the dispatcher owes (an update
+//!   in flight at shutdown is acked), then closes every connection and
+//!   joins both threads.
 //!
 //! A session's shares are validated against the engine's DPF domain
 //! *before* they join a merged wave: one client with stale geometry gets
@@ -52,18 +43,19 @@
 //! value (see [`cli`]), so there is exactly one construction path. The
 //! [`router`] module adds the front tier that spreads client sessions
 //! over a topology's replicas; its client connections run on the same
-//! event loop, with a fixed pool of forwarding workers in place of the
+//! event loop, with a fixed pool of router workers in place of the
 //! dispatcher.
 //!
-//! The crate is unix-only: the event loop blocks in `poll(2)`, the one
+//! The crate is Linux-only: the event loop blocks in `poll(2)`, the one
 //! foreign call, confined to a private module that alone may use
-//! `unsafe`.
+//! `unsafe`, and it classifies `accept(2)` failures by Linux's errno
+//! values.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-#[cfg(not(unix))]
-compile_error!("impir-server serves from a poll(2) event loop and needs a unix target");
+#[cfg(not(target_os = "linux"))]
+compile_error!("impir-server serves from a Linux poll(2) event loop and needs a Linux target");
 
 pub mod cli;
 pub mod events;
@@ -74,7 +66,7 @@ pub mod router;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver};
 use impir_core::batch::UpdatableBackend;
 use impir_core::database::Database;
 use impir_core::engine::QueryEngine;
@@ -273,9 +265,7 @@ pub fn build_service_with(
 /// the frame tag, the batch-count prefix, and at least one tiny batch.
 pub const MIN_REPLAY_FRAME_BYTES: usize = 64;
 
-/// One request on its way to the dispatcher: the request frame and where
-/// its reply frame goes (a dedicated bounded channel per request).
-pub(crate) type Request = (Frame, Sender<Frame>);
+use events::{Reply, Request};
 
 /// A running PIR server: the event loop that serves every connection and
 /// the dispatcher that owns the engine. Dropping the handle shuts the
@@ -387,9 +377,10 @@ impl PirService {
         &self.plan
     }
 
-    /// Stops the service: the loop is woken and closes every connection
-    /// (replies not yet written are dropped), the dispatcher finishes the
-    /// requests it holds, and both threads are joined.
+    /// Stops the service: the loop is woken, stops accepting and reading,
+    /// writes every reply the dispatcher still owes — for at most
+    /// [`events::SHUTDOWN_DRAIN`] — and closes every connection; then
+    /// both threads are joined.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -439,8 +430,7 @@ fn dispatcher_loop<S: UpdatableBackend + Send + Sync>(
         let mut pending = Some(request);
         while let Some((frame, reply)) = pending.take() {
             let Frame::QueryBatch { shares } = frame else {
-                let _ = reply.send(answer(&mut engine, frame, config.max_replay_frame_bytes));
-                waker.wake();
+                reply.send(answer(&mut engine, frame, config.max_replay_frame_bytes));
                 continue;
             };
             // Merge whatever other sessions have already queued — never
@@ -593,10 +583,11 @@ fn info_of<S: UpdatableBackend + Send + Sync>(engine: &QueryEngine<S>) -> Server
     }
 }
 
-type SessionBatch = (Vec<QueryShare>, Sender<Frame>);
+type SessionBatch = (Vec<QueryShare>, Reply);
 
 /// Runs one merged wave of query batches through the engine and routes
-/// each session's slice of the responses back to it.
+/// each session's slice of the responses back to it. The replies do not
+/// wake the event loop; the caller wakes it once for the wave.
 fn execute_wave<S: UpdatableBackend + Send + Sync>(
     engine: &mut QueryEngine<S>,
     wave: Vec<SessionBatch>,
@@ -611,7 +602,7 @@ fn execute_wave<S: UpdatableBackend + Send + Sync>(
             .find(|share| share.key.domain_bits() != domain_bits)
         {
             Some(bad) => {
-                let _ = reply.send(error_frame(&PirError::QueryDomainMismatch {
+                reply.send_unwoken(error_frame(&PirError::QueryDomainMismatch {
                     key_domain_bits: bad.key.domain_bits(),
                     database_domain_bits: domain_bits,
                 }));
@@ -640,8 +631,8 @@ fn execute_wave<S: UpdatableBackend + Send + Sync>(
     if total_queries == 0 {
         // All-empty batches short-circuit: 0/0 below would attribute NaN
         // costs to the sessions.
-        for (_, reply) in &admitted {
-            let _ = reply.send(Frame::ResponseBatch {
+        for (_, reply) in admitted {
+            reply.send_unwoken(Frame::ResponseBatch {
                 epoch: engine.database_epoch(),
                 wall_seconds: 0.0,
                 phases: PhaseBreakdown::zero(),
@@ -650,23 +641,25 @@ fn execute_wave<S: UpdatableBackend + Send + Sync>(
         }
         return;
     }
-    match engine.execute_batch(batch) {
+    let executed = engine.execute_batch(batch);
+    let replies = admitted.into_iter().map(|(_, reply)| reply);
+    match executed {
         Err(err) => {
-            for (_, reply) in &admitted {
-                let _ = reply.send(error_frame(&err));
+            for reply in replies {
+                reply.send_unwoken(error_frame(&err));
             }
         }
         Ok(outcome) => {
             let epoch = engine.database_epoch();
             let mut responses = outcome.responses.into_iter();
-            for (count, (_, reply)) in counts.iter().zip(&admitted) {
+            for (count, reply) in counts.iter().zip(replies) {
                 // Attribute the wave's cost proportionally: a session is
                 // billed its share of the merged batch, so per-client
                 // accounting does not inflate with the *other* sessions'
                 // coalesced work (and summing across sessions recovers the
                 // wave's true totals).
                 let fraction = *count as f64 / total_queries as f64;
-                let _ = reply.send(Frame::ResponseBatch {
+                reply.send_unwoken(Frame::ResponseBatch {
                     epoch,
                     wall_seconds: outcome.wall_seconds * fraction,
                     phases: outcome.phase_totals.scaled(fraction),
@@ -700,6 +693,7 @@ mod tests {
     use impir_core::transport::{PirTransport, TcpTransport};
     use impir_core::PirClient;
     use impir_dpf::SelectorVector;
+    use std::sync::Mutex;
 
     fn cpu_engine(db: &Arc<Database>, shards: usize) -> QueryEngine<CpuPirServer> {
         let sharded = ShardedDatabase::uniform(db.clone(), shards).unwrap();
@@ -862,6 +856,124 @@ mod tests {
             assert_eq!(transport.query_batch(&shares).unwrap().responses.len(), 1);
         } // disconnect → the single budgeted session ends
         joiner.join().unwrap();
+    }
+
+    use impir_core::batch::{BatchExecutor, SelectorEvaluator};
+    use impir_core::server::phases::PhaseBreakdown as Phases;
+    use impir_core::{PirServer, ServerResponse};
+    use std::sync::mpsc;
+
+    /// A cpu backend whose updates first run `on_update`: tests use it to
+    /// hold an update in flight, or to make the engine panic.
+    struct Gated {
+        inner: CpuPirServer,
+        on_update: Box<dyn Fn() + Send + Sync>,
+    }
+
+    impl PirServer for Gated {
+        fn num_records(&self) -> u64 {
+            self.inner.num_records()
+        }
+
+        fn record_size(&self) -> usize {
+            self.inner.record_size()
+        }
+
+        fn process_query(
+            &mut self,
+            share: &QueryShare,
+        ) -> Result<(ServerResponse, Phases), PirError> {
+            self.inner.process_query(share)
+        }
+    }
+
+    impl BatchExecutor for Gated {
+        fn evaluate_selector(&self, share: &QueryShare) -> Result<SelectorVector, PirError> {
+            self.inner.evaluate_selector(share)
+        }
+
+        fn selector_evaluator(&self) -> SelectorEvaluator {
+            self.inner.selector_evaluator()
+        }
+
+        fn execute_wave(
+            &mut self,
+            selectors: &[&SelectorVector],
+        ) -> Result<(Vec<Vec<u8>>, Phases), PirError> {
+            self.inner.execute_wave(selectors)
+        }
+    }
+
+    impl UpdatableBackend for Gated {
+        fn apply_updates(
+            &mut self,
+            updates: &[(u64, Vec<u8>)],
+        ) -> Result<impir_core::UpdateOutcome, PirError> {
+            (self.on_update)();
+            self.inner.apply_updates(updates)
+        }
+
+        fn database(&self) -> &Arc<Database> {
+            self.inner.database()
+        }
+    }
+
+    fn gated_service(
+        db: &Arc<Database>,
+        on_update: impl Fn() + Send + Sync + 'static,
+    ) -> PirService {
+        let sharded = ShardedDatabase::uniform(db.clone(), 1).unwrap();
+        let mut on_update = Some(Box::new(on_update) as Box<dyn Fn() + Send + Sync>);
+        let engine = QueryEngine::sharded(&sharded, EngineConfig::default(), |shard_db, _| {
+            Ok(Gated {
+                inner: CpuPirServer::new(shard_db, CpuServerConfig::baseline())?,
+                on_update: on_update.take().expect("one shard"),
+            })
+        })
+        .unwrap();
+        PirService::bind(engine, "127.0.0.1:0", ServiceConfig::default()).unwrap()
+    }
+
+    /// Shutdown stops reading but still writes the replies the dispatcher
+    /// owes: an update in flight when `shutdown` is called is acked, so
+    /// its client knows it took effect.
+    #[test]
+    fn an_update_in_flight_at_shutdown_is_still_acked() {
+        let db = Arc::new(Database::random(64, 8, 95).unwrap());
+        let (started_tx, started) = mpsc::channel();
+        let started_tx = Mutex::new(started_tx);
+        let service = gated_service(&db, move || {
+            let _ = started_tx.lock().unwrap().send(());
+            std::thread::sleep(std::time::Duration::from_millis(300));
+        });
+        let mut writer = TcpTransport::connect(service.addr()).unwrap();
+        let update = std::thread::spawn(move || writer.apply_updates(&[(3, vec![0x5A; 8])]));
+        started.recv().unwrap();
+        service.shutdown();
+        let outcome = update
+            .join()
+            .unwrap()
+            .expect("the in-flight update is acked");
+        assert_eq!(outcome.epoch, 1);
+    }
+
+    /// A dispatcher that dies mid-request drops the request's reply, and
+    /// that wakes the loop: the client gets an error frame at once instead
+    /// of waiting on a loop blocked in poll.
+    #[test]
+    fn a_panicking_engine_answers_its_client_with_an_error_frame() {
+        let db = Arc::new(Database::random(64, 8, 96).unwrap());
+        let service = gated_service(&db, || panic!("injected engine failure"));
+        let mut writer = TcpTransport::connect(service.addr()).unwrap();
+        match writer.apply_updates(&[(3, vec![0x5A; 8])]) {
+            Err(PirError::Protocol { reason }) => {
+                assert!(reason.contains("answerer is gone"), "{reason}");
+            }
+            other => panic!("expected the answerer-gone error, got {other:?}"),
+        }
+        // Later requests find the dispatcher gone and are answered too.
+        assert!(writer.server_info().is_err());
+        service.shutdown();
     }
 
     use impir_core::transport::{MuxConnection, MuxSession};

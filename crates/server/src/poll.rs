@@ -3,8 +3,8 @@
 //!
 //! This is the one module of `impir-server` allowed to use `unsafe` (the
 //! crate denies it everywhere else); every block carries a `SAFETY:`
-//! note. It needs no dependency: `poll` is in every unix C library `std`
-//! already links.
+//! note. It needs no dependency: `poll` is in the C library `std` already
+//! links.
 
 use std::ffi::{c_int, c_short};
 use std::os::fd::RawFd;
@@ -48,10 +48,8 @@ impl PollFd {
     }
 }
 
-#[cfg(target_os = "linux")]
+/// Linux's `nfds_t`.
 type NfdsT = std::ffi::c_ulong;
-#[cfg(not(target_os = "linux"))]
-type NfdsT = std::ffi::c_uint;
 
 extern "C" {
     fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;

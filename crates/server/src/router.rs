@@ -13,9 +13,11 @@
 //! frame untouched, over a **shared multiplexed connection per replica**
 //! ([`MuxConnection`]): every client session, health probe and catch-up
 //! replay to the same replica rides one TCP connection as its own
-//! logical [`MuxSession`], instead of dialing a fresh socket each. The
-//! router reads only one request kind itself — `UpdateBatch`, which fans
-//! out:
+//! logical [`MuxSession`], instead of dialing a fresh socket each. A
+//! worker sends a forwarded request down the replica leg and moves on; the
+//! leg's reader thread hands the reply to the event loop, so the pool does
+//! not cap how many routed requests are in flight. The router reads only
+//! one request kind itself — `UpdateBatch`, which fans out:
 //!
 //! * **pinning** — a connection's `Hello` pins a replica: its `HelloAck`
 //!   carries that replica's geometry and epoch. With no replica to pin,
@@ -66,22 +68,23 @@
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use impir_core::topology::{FleetTopology, RetrySpec};
 use impir_core::transport::{FrameChannel, MuxConnection, MuxSession, PirTransport};
 use impir_core::wire::{Frame, WIRE_VERSION};
 use impir_core::{PirError, UpdateOutcome};
 
-use crate::events::{EventLoop, Hook, Waker};
-use crate::{error_frame, protocol, spawn_named, Request};
+use crate::events::{EventLoop, Hook, Reply, Request};
+use crate::{error_frame, protocol, spawn_named};
 
-/// Router workers: the threads that forward client requests to replicas.
-/// A fixed pool, so the router's thread count does not grow with its
-/// session count.
+/// Router workers: a fixed pool, so the router's thread count does not
+/// grow with its session count. It bounds only the blocking work that
+/// proceeds at once — connection openings, update fan-outs, failovers;
+/// a forwarded request holds no worker for its round trip.
 const ROUTER_WORKERS: usize = 8;
 
 /// Requests waiting for a router worker. Past this the event loop sheds
@@ -272,12 +275,15 @@ impl PirRouter {
         // sessions and shed like a replica. The loop owns the only job
         // sender: the workers end when it has.
         let mut threads = Vec::new();
-        let spawned = EventLoop::spawn(router.listen.as_str(), None, |waker| {
-            let (jobs, job_rx) = bounded::<Job>(ROUTER_QUEUE);
+        let spawned = EventLoop::spawn(router.listen.as_str(), None, |_| {
+            // Unbounded, so a replica leg's reader thread can always queue
+            // a failover; the hook sheds past `ROUTER_QUEUE` instead.
+            let (jobs, job_rx) = unbounded::<Job>();
+            let jobs = Arc::new(jobs);
             for _ in 0..ROUTER_WORKERS {
-                let (jobs, waker) = (job_rx.clone(), waker.clone());
+                let (job_rx, requeue) = (job_rx.clone(), Arc::downgrade(&jobs));
                 threads.push(spawn_named("impir-router", move || {
-                    router_worker(&jobs, &waker);
+                    router_worker(&job_rx, &requeue);
                 })?);
             }
             let state = Arc::clone(&state);
@@ -333,10 +339,10 @@ impl PirRouter {
             .collect()
     }
 
-    /// Stops the router: the loop closes every client connection (replies
-    /// not yet written are dropped) and every thread is joined — the event
-    /// loop, the workers, the prober, and each backend connection's
-    /// reader thread.
+    /// Stops the router: the loop stops accepting and reading, writes the
+    /// replies it still owes (as a replica's does) and closes every client
+    /// connection, and every thread is joined — the event loop, the
+    /// workers, the prober, and each backend connection's reader thread.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -441,29 +447,32 @@ impl RoutedBackend {
         Err(last_error.unwrap_or_else(|| protocol("no healthy replica available")))
     }
 
-    /// Sends one idempotent request frame verbatim to the pinned replica
-    /// and returns the replica's reply frame, failing over to the next
-    /// healthy replica if this one is dead. An `Error` reply or a
-    /// transport failure is first re-checked with an epoch probe on the
-    /// same session: if the replica still answers, it genuinely rejected
-    /// the request and the client gets the rejection instead of a retry
-    /// elsewhere. Every other reply travels back untouched — a typed
-    /// overload refusal included: the replica is alive and shedding, and
-    /// failing over would stampede the rest of the fleet.
-    fn forward(&mut self, state: &RouterState, request: &[u8]) -> Result<Frame, PirError> {
-        for _ in 0..=state.slots.len() {
-            if !state.slots[self.slot].healthy.load(Ordering::SeqCst) {
-                self.rotate(state)?;
+    /// Finishes a request whose trip to this leg's replica came back as
+    /// an `Error` reply or a transport failure (`failed`). If the replica
+    /// still answers an epoch probe, it genuinely rejected the request and
+    /// the client gets the rejection instead of a retry elsewhere; a dead
+    /// one is condemned and the request moves to the next healthy replica.
+    /// Every other reply travels back untouched — a typed overload refusal
+    /// included: the replica is alive and shedding, and failing over would
+    /// stampede the rest of the fleet.
+    fn recover(
+        &mut self,
+        state: &RouterState,
+        request: &Frame,
+        mut failed: Result<Frame, PirError>,
+    ) -> Result<Frame, PirError> {
+        let request = request.encode()?;
+        for _ in 0..state.slots.len() {
+            if alive(&self.conn, &mut self.session) {
+                return failed;
             }
-            match self.session.exchange(request, true) {
-                Ok(reply) if !matches!(reply, Frame::Error { .. }) => return Ok(reply),
-                outcome if alive(&self.conn, &mut self.session) => return outcome,
-                _ => {
-                    state.slots[self.slot]
-                        .healthy
-                        .store(false, Ordering::SeqCst);
-                    self.rotate(state)?;
-                }
+            state.slots[self.slot]
+                .healthy
+                .store(false, Ordering::SeqCst);
+            self.rotate(state)?;
+            failed = self.session.exchange(&request, true);
+            if matches!(&failed, Ok(reply) if !matches!(reply, Frame::Error { .. })) {
+                return failed;
             }
         }
         Err(protocol("every replica failed the request"))
@@ -489,22 +498,30 @@ fn alive(conn: &MuxConnection, session: &mut MuxSession) -> bool {
         )
 }
 
-/// One request for the worker pool: the connection's responder, and the
-/// request with its reply channel.
-type Job = (Arc<Mutex<RouterResponder>>, Request);
+/// One request for the worker pool, with the responder of the connection
+/// it came from. `failed` is set when the request already went down the
+/// connection's replica leg and came back as an `Error` reply or a
+/// transport failure.
+struct Job {
+    responder: Arc<Mutex<RouterResponder>>,
+    request: Frame,
+    reply: Reply,
+    failed: Option<Result<Frame, PirError>>,
+}
 
 /// The router's event-loop hook: request frames queue for the workers,
 /// each with its connection's responder.
 struct RouterHook {
     state: Arc<RouterState>,
-    jobs: Sender<Job>,
+    /// The only strong handle: the workers end once the loop has.
+    jobs: Arc<Sender<Job>>,
 }
 
 impl Hook for RouterHook {
     type Conn = Arc<Mutex<RouterResponder>>;
     // A connection's sessions share its responder (one pinned replica
-    // leg) and are answered in order, so no worker ever waits on another
-    // worker's lock.
+    // leg, one logical session on it) and are answered in order, so no
+    // worker ever waits on another worker's lock.
     const SERIAL_PER_CONN: bool = true;
 
     fn open(&self) -> Self::Conn {
@@ -514,25 +531,38 @@ impl Hook for RouterHook {
         }))
     }
 
-    fn forward(&self, conn: &Self::Conn, request: Request) -> bool {
-        self.jobs.try_send((Arc::clone(conn), request)).is_ok()
+    fn forward(&self, conn: &Self::Conn, (request, reply): Request) -> Result<(), Reply> {
+        if self.is_full() {
+            return Err(reply);
+        }
+        // Gone workers drop the job, and its `Reply` tells the client.
+        let _ = self.jobs.send(Job {
+            responder: Arc::clone(conn),
+            request,
+            reply,
+            failed: None,
+        });
+        Ok(())
     }
 
     fn is_full(&self) -> bool {
-        self.jobs.is_full()
+        self.jobs.len() >= ROUTER_QUEUE
     }
 }
 
-/// One router worker: answers queued requests with their connection's
-/// responder, then wakes the event loop to write the reply.
-fn router_worker(jobs: &Receiver<Job>, waker: &Waker) {
-    while let Ok((responder, (request, reply))) = jobs.recv() {
-        let answer = match responder.lock() {
-            Ok(mut responder) => responder.respond(request),
-            Err(_) => error_frame(&protocol("router session lock poisoned")),
-        };
-        let _ = reply.send(answer);
-        waker.wake();
+/// One router worker: takes queued requests to their connection's
+/// responder. `requeue` is how a replica leg's reader thread queues a
+/// failover.
+fn router_worker(jobs: &Receiver<Job>, requeue: &Weak<Sender<Job>>) {
+    while let Ok(job) = jobs.recv() {
+        match job.responder.lock() {
+            Ok(mut responder) => {
+                responder.handle(&job.responder, job.request, job.reply, job.failed, requeue)
+            }
+            Err(_) => job
+                .reply
+                .send(error_frame(&protocol("router session lock poisoned"))),
+        }
     }
 }
 
@@ -547,10 +577,66 @@ struct RouterResponder {
 }
 
 impl RouterResponder {
-    /// The reply frame to `request`.
+    /// Answers `request` through `reply`. A forwarded request is sent down
+    /// the pinned replica leg without waiting: the leg's reader thread
+    /// passes the replica's reply on, or — on an `Error` reply or a
+    /// transport failure — queues the request on `requeue` again, `failed`
+    /// now set, for [`RoutedBackend::recover`].
+    fn handle(
+        &mut self,
+        this: &Arc<Mutex<RouterResponder>>,
+        request: Frame,
+        reply: Reply,
+        failed: Option<Result<Frame, PirError>>,
+        requeue: &Weak<Sender<Job>>,
+    ) {
+        let forwarded = !matches!(request, Frame::Hello { .. } | Frame::UpdateBatch { .. });
+        let Some(backend) = self.backend.as_mut().filter(|_| forwarded) else {
+            return reply.send(self.respond(request));
+        };
+        if let Some(failed) = failed {
+            let recovered = backend.recover(&self.state, &request, failed);
+            return reply.send(recovered.unwrap_or_else(|err| error_frame(&err)));
+        }
+        if !self.state.slots[backend.slot]
+            .healthy
+            .load(Ordering::SeqCst)
+        {
+            if let Err(err) = backend.rotate(&self.state) {
+                return reply.send(error_frame(&err));
+            }
+        }
+        let encoded = match request.encode() {
+            Ok(encoded) => encoded,
+            Err(err) => return reply.send(error_frame(&err)),
+        };
+        // Weak: the pending request must not keep its own leg alive. The
+        // router is stopping when the job queue is gone, and the client
+        // when the responder is; dropping the `Reply` is all that is left.
+        let (responder, requeue) = (Arc::downgrade(this), requeue.clone());
+        backend
+            .session
+            .send(&encoded, move |outcome| match outcome {
+                Ok(frame) if !matches!(frame, Frame::Error { .. }) => reply.send(frame),
+                failed => {
+                    if let (Some(jobs), Some(responder)) = (requeue.upgrade(), responder.upgrade())
+                    {
+                        let _ = jobs.send(Job {
+                            responder,
+                            request,
+                            reply,
+                            failed: Some(failed),
+                        });
+                    }
+                }
+            });
+    }
+
+    /// The reply frame to a request the router answers itself: a `Hello`
+    /// or an update batch.
     fn respond(&mut self, request: Frame) -> Frame {
-        let reply = match (request, self.backend.as_mut()) {
-            (Frame::Hello { .. }, _) => match RoutedBackend::connect(&self.state) {
+        let reply = match request {
+            Frame::Hello { .. } => match RoutedBackend::connect(&self.state) {
                 Ok(backend) => {
                     let info = backend.info;
                     self.backend = Some(backend);
@@ -571,13 +657,10 @@ impl RouterResponder {
             // Updates are NOT failover-retried through the session's
             // pinned replica: they fan out to the whole fleet under the
             // router's update lock, exactly once per healthy replica.
-            (Frame::UpdateBatch { updates }, _) => {
+            Frame::UpdateBatch { updates } => {
                 fan_out_update(&self.state, &updates).map(|outcome| Frame::UpdateAck { outcome })
             }
-            (request, Some(backend)) => request
-                .encode()
-                .and_then(|encoded| backend.forward(&self.state, &encoded)),
-            (_, None) => Err(protocol("the router session has no replica")),
+            _ => Err(protocol("the router session has no replica")),
         };
         reply.unwrap_or_else(|err| error_frame(&err))
     }
@@ -791,6 +874,7 @@ fn catch_up(state: &RouterState, behind: usize, ahead: usize) -> bool {
 mod tests {
     use super::*;
     use crate::build_service;
+    use crate::events::wrap;
     use impir_core::topology::{ReplicaSpec, RouterSpec};
     use impir_core::transport::{LocalTransport, TcpTransport};
     use impir_core::PirClient;
@@ -845,6 +929,105 @@ mod tests {
         // A refused handshake closes the connection.
         assert_eq!(stream.read(&mut [0u8; 1]).unwrap(), 0);
         router.shutdown();
+    }
+
+    /// A forwarded request does not hold a router worker for its round
+    /// trip. A stand-in replica holds every scan until twice the pool's
+    /// worth are in flight: were each one to hold a worker, the replica
+    /// would never see that many, and every client would time out.
+    #[test]
+    fn routed_requests_in_flight_are_not_capped_by_the_worker_pool() {
+        use impir_core::wire::read_frame;
+        use impir_core::ServerInfo;
+        use std::io::Write;
+        const HELD: usize = 2 * ROUTER_WORKERS;
+        let replica = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut topology = FleetTopology::new(192, 8, 77);
+        topology.replicas.push(ReplicaSpec::tcp(
+            "r0",
+            replica.local_addr().unwrap().to_string(),
+        ));
+        topology.router = Some(RouterSpec {
+            listen: free_addr(),
+            probe_interval_ms: 60_000,
+            max_lag_epochs: 0,
+        });
+        let stand_in = std::thread::spawn(move || {
+            let (mut stream, _) = replica.accept().unwrap();
+            let info = ServerInfo {
+                num_records: 192,
+                record_size: 8,
+                shard_count: 1,
+                epoch: 0,
+            };
+            let mut held = Vec::new();
+            while let Ok((frame, _)) = read_frame(&mut stream) {
+                let reply = match frame {
+                    Frame::Hello { .. } => Some(Frame::HelloAck {
+                        version: WIRE_VERSION,
+                        info,
+                    }),
+                    Frame::Mux { session, frame } => match *frame {
+                        Frame::InfoRequest => Some(wrap(Some(session), Frame::Info { info })),
+                        Frame::SelectorScan { .. } => {
+                            held.push(session);
+                            None
+                        }
+                        _ => None,
+                    },
+                    _ => None,
+                };
+                let mut replies: Vec<Frame> = reply.into_iter().collect();
+                if held.len() == HELD {
+                    replies.extend(held.drain(..).map(|session| {
+                        wrap(
+                            Some(session),
+                            Frame::SelectorResult {
+                                epoch: 0,
+                                payload: vec![0; 8],
+                                phases: impir_core::PhaseBreakdown::zero(),
+                            },
+                        )
+                    }));
+                }
+                for reply in replies {
+                    stream.write_all(&reply.encode().unwrap()).unwrap();
+                }
+            }
+        });
+        let router = PirRouter::bind(&topology).unwrap();
+        let hello = Frame::Hello {
+            version: WIRE_VERSION,
+        };
+        let scan = Frame::SelectorScan {
+            selector: (0..192).map(|i| i % 2 == 0).collect(),
+        };
+        let clients: Vec<_> = (0..HELD)
+            .map(|_| {
+                let (addr, hello, scan) = (router.addr(), hello.clone(), scan.clone());
+                std::thread::spawn(move || {
+                    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+                    stream
+                        .set_read_timeout(Some(Duration::from_secs(10)))
+                        .unwrap();
+                    stream.write_all(&hello.encode().unwrap()).unwrap();
+                    assert!(matches!(
+                        read_frame(&mut stream).unwrap().0,
+                        Frame::HelloAck { .. }
+                    ));
+                    stream.write_all(&scan.encode().unwrap()).unwrap();
+                    read_frame(&mut stream).map(|(frame, _)| frame)
+                })
+            })
+            .collect();
+        for client in clients {
+            match client.join().unwrap() {
+                Ok(Frame::SelectorResult { .. }) => {}
+                other => panic!("a routed scan was not answered: {other:?}"),
+            }
+        }
+        router.shutdown();
+        stand_in.join().unwrap();
     }
 
     #[test]
