@@ -3,8 +3,10 @@
 //! The baseline mirrors the setup the paper evaluates against: a DPF-PIR
 //! implementation in the style of Google's `distributed_point_functions`
 //! library where *each query is handled by a single CPU thread* (eval +
-//! scan), AVX standing in for wide XORs (here: the 64-bit-lane path), and
-//! batches simply run one query per worker thread.
+//! scan) and AVX stands in for wide XORs. Here the engine evaluates each
+//! query on its own worker thread, and the CPU server scans each wave of
+//! queries in one pass over the database with one scan thread per core
+//! (see [`impir_core::server::cpu`]).
 
 use std::sync::Arc;
 

@@ -68,8 +68,8 @@ impl GpuPirBaseline {
             scan_threads: impir_dpf::host_parallelism(),
             scan_kernel: impir_core::dpxor::KernelChoice::Auto,
         };
-        // The GPU serialises queries on the device; a single evaluation
-        // worker mirrors that in the engine pipeline.
+        // The GPU serialises key evaluation on the device; a single
+        // evaluation worker mirrors that in the engine pipeline.
         let engine_config = EngineConfig::new(BatchConfig::with_workers(1)?, eval_strategy)?;
         let server = CpuPirServer::new(Arc::clone(&database), config)?;
         Ok(GpuPirBaseline {

@@ -7,8 +7,9 @@
 //!
 //! * **self-check** — every registered [`impir_core::dpxor::ScanKernel`]
 //!   is replayed against the scalar oracle across record sizes (including
-//!   odd ones) and selector densities; any divergence exits with code 3
-//!   before a single timing is reported.
+//!   odd ones) and selector densities, for one selector and for fused
+//!   multi-selector scans; any divergence exits with code 3 before a
+//!   single timing is reported.
 //! * **expand** — the original per-level allocating expansion
 //!   ([`impir_dpf::eval::expand_subtree_reference`]) against the
 //!   zero-allocation `expand_level_into`/`EvalScratch` pipeline
@@ -19,9 +20,14 @@
 //!   dispatched kernel must be ≥1.2× faster or the bin exits with code 2.
 //! * **kernel shootout + throughput sweep** — scan GB/s for every kernel
 //!   and for the dispatched choice, across record sizes (32/40 and the odd
-//!   33, which exercises the word+tail path), selector densities
-//!   (sparse/half/full) and `scan_threads` ∈ {1, 2, 4} through
-//!   [`impir_core::server::cpu::CpuPirServer`]'s scoped-thread scan.
+//!   33, which exercises the word+tail path) and selector densities
+//!   (sparse/half/full).
+//! * **fused wave** — per-query scan seconds of one
+//!   [`impir_core::server::cpu::CpuPirServer`] pass serving `k` ∈ {1, 2,
+//!   4, 8, 16} queries: the pass reads the database once for the whole
+//!   wave, so the per-query cost falls as `k` grows; on a ≥2^18 domain a
+//!   16-query wave must cost less per query than a 1-query pass or the
+//!   bin exits with code 2.
 //! * **roofline** — a streaming XOR-fold probe measures the host's actual
 //!   read bandwidth (single-thread and all-threads); the measured scan
 //!   throughputs are reported as fractions of that ceiling via
@@ -38,26 +44,22 @@
 //! Run with `cargo run -p impir-bench --release --bin hotpath -- \
 //! [domain_bits] [iterations]` (defaults: 18, 5 — a ≥2^18 domain is what
 //! the acceptance criteria measure; CI uses a small domain and only the
-//! self-check is enforced there). The thread-scaling criterion
-//! (`scan_threads = 4` faster than 1) is additionally gated on the host
-//! exposing ≥4 hardware threads — on a single-core container there is
-//! nothing to scale onto.
+//! self-check is enforced there).
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use impir_bench::report::{DataPoint, FigureReport, Series};
+use impir_core::batch::BatchExecutor;
 use impir_core::database::Database;
-use impir_core::dpxor::{self, KernelChoice, ScanKernel};
-use impir_core::protocol::QueryShare;
+use impir_core::dpxor::{self, ScanKernel};
 use impir_core::server::cpu::{CpuPirServer, CpuServerConfig};
-use impir_core::server::PirServer;
 use impir_crypto::prg::LengthDoublingPrg;
 use impir_dpf::eval::{
     eval_prefix, expand_subtree_into, expand_subtree_reference, EvalScratch, NodeState,
 };
 use impir_dpf::gen::generate_keys;
-use impir_dpf::{host_parallelism, EvalStrategy, SelectorVector};
+use impir_dpf::{host_parallelism, SelectorVector};
 use impir_perf::{DeviceProfile, RooflineModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -93,7 +95,7 @@ fn main() {
         "hotpath",
         format!(
             "Expand + dpXOR scan kernels, 2^{domain_bits} domain: dispatch shootout, \
-             thread scaling, measured roofline"
+             fused wave, measured roofline"
         ),
         "dpXOR is memory-bound (Figure 3b): its throughput ceiling is the host's \
          read bandwidth, and the dispatched kernel must beat the old single-u64 \
@@ -130,22 +132,20 @@ fn main() {
     }
     report.push_series(sweep_series);
 
-    // Thread sweep through the CPU server's scoped-thread scan.
-    let threads_swept = thread_sweep(domain_bits, iterations);
-    let mut thread_series = Series::new("scan threads (CpuPirServer, 40 B records)", "seconds");
-    let mut thread_gbps: Vec<(String, f64)> = Vec::new();
-    for (threads, seconds, scanned_bytes) in &threads_swept {
-        thread_series.push(DataPoint::new(
-            format!("threads={threads}"),
-            *threads as f64,
-            *seconds,
-        ));
-        thread_gbps.push((
-            format!("threads={threads}"),
-            *scanned_bytes as f64 / *seconds / 1e9,
-        ));
+    // Fused wave: per-query scan seconds of one CpuPirServer pass serving
+    // k queries.
+    let waves = fused_wave(domain_bits, iterations);
+    let mut wave_series = Series::new(
+        "fused wave (CpuPirServer pass, 40 B records, per-query scan seconds)",
+        "seconds",
+    );
+    for (k, per_query) in &waves {
+        wave_series.push(DataPoint::new(format!("k={k}"), *k as f64, *per_query));
     }
-    report.push_series(thread_series);
+    report.push_series(wave_series);
+    // A DPF share's selector has ~half the bits set, so one query's
+    // selected bytes are approximated as half the database.
+    let query_bytes = ((1usize << domain_bits) / 2 * RECORD_BYTES) as f64;
 
     // Measured roofline: probe the host's read bandwidth over a scan-sized
     // working set, then report each scan throughput as a fraction of it.
@@ -174,19 +174,13 @@ fn main() {
         ));
         index += 1.0;
     }
-    for (label, gbps) in &thread_gbps {
-        // Multi-thread scans compete for the whole memory system, so they
-        // are held to the aggregate ceiling; single-thread entries to the
-        // single-thread one.
-        let model = if label == "threads=1" {
-            &single
-        } else {
-            &aggregate
-        };
+    for (k, per_query) in &waves {
+        // A pass runs on every scan thread and competes for the whole
+        // memory system, so it is held to the aggregate ceiling.
         roofline_series.push(DataPoint::new(
-            label.clone(),
+            format!("fused wave k={k}"),
             index,
-            model.scan_efficiency(*gbps),
+            aggregate.scan_efficiency(query_bytes / per_query / 1e9),
         ));
         index += 1.0;
     }
@@ -248,25 +242,14 @@ fn main() {
             scan_old / scan_new
         );
     }
-    // Thread scaling needs threads to scale onto: only meaningful where the
-    // host exposes at least 4 hardware threads.
-    if host_parallelism() >= 4 {
-        let one = threads_swept.iter().find(|(t, _, _)| *t == 1);
-        let four = threads_swept.iter().find(|(t, _, _)| *t == 4);
-        if let (Some((_, t1, _)), Some((_, t4, _))) = (one, four) {
-            if t4 >= t1 {
-                regressed = true;
-                eprintln!(
-                    "warning: scan_threads=4 not faster than scan_threads=1 \
-                     ({t4:.6}s vs {t1:.6}s) on a {}-thread host",
-                    host_parallelism()
-                );
-            }
-        }
-    } else {
-        println!(
-            "[thread-scaling criterion skipped: host exposes {} hardware thread(s)]",
-            host_parallelism()
+    // One pass serves the whole wave, so a full wave must cost less per
+    // query than a pass serving one query.
+    let ((_, one), (largest, full)) = (waves[0], waves[waves.len() - 1]);
+    if full >= one {
+        regressed = true;
+        eprintln!(
+            "warning: a {largest}-query fused wave is not cheaper per query than a \
+             1-query pass ({full:.6}s vs {one:.6}s)"
         );
     }
     if enforce && regressed {
@@ -308,10 +291,51 @@ fn kernel_self_check() {
             }
         }
     }
+    fused_self_check(&mut rng);
     println!(
-        "[self-check passed: {} kernels byte-identical to the scalar oracle]",
+        "[self-check passed: {} kernels byte-identical to the scalar oracle, \
+         single and fused scans]",
         dpxor::kernels().len()
     );
+}
+
+/// Replays every kernel's fused multi-selector scan against `k`
+/// independent scalar scans, for `k` across and beyond the wave width and
+/// over record sizes on both sides of the register/tiled split; exits
+/// with code 3 on the first divergence.
+fn fused_self_check(rng: &mut StdRng) {
+    let count = 513;
+    for record_size in [1usize, 8, 33, 40, 64, 65, 200, 257] {
+        let records: Vec<u8> = (0..count * record_size).map(|_| rng.gen()).collect();
+        for k in [2usize, 16, 17] {
+            let selectors: Vec<SelectorVector> = (0..k)
+                .map(|j| match j % 4 {
+                    0 => (0..count).map(|i| i % 97 == j).collect(),
+                    1 => (0..count).map(|i| i != j).collect(),
+                    _ => (0..count).map(|_| rng.gen::<bool>()).collect(),
+                })
+                .collect();
+            let refs: Vec<&SelectorVector> = selectors.iter().collect();
+            let mut oracle = vec![0u8; k * record_size];
+            for (selector, accumulator) in
+                selectors.iter().zip(oracle.chunks_exact_mut(record_size))
+            {
+                dpxor::xor_select_scalar(&records, record_size, selector, accumulator);
+            }
+            for kernel in dpxor::kernels() {
+                let mut out = vec![0u8; k * record_size];
+                kernel.xor_select_many(&records, record_size, &refs, &mut out, &mut Vec::new());
+                if out != oracle {
+                    eprintln!(
+                        "error: kernel '{}' fused scan diverges from {k} scalar scans \
+                         (record_size={record_size})",
+                        kernel.name()
+                    );
+                    std::process::exit(3);
+                }
+            }
+        }
+    }
 }
 
 /// Times one full-domain expansion per iteration through the old and the
@@ -487,47 +511,48 @@ fn throughput_sweep(domain_bits: u32, iterations: usize) -> Vec<(String, f64)> {
     results
 }
 
-/// Times the CPU server's scan at `scan_threads` ∈ {1, 2, 4} on the same
-/// database and query share, returning `(threads, best dpXOR seconds,
-/// selected bytes per scan)`. Responses are pinned byte-identical across
-/// thread counts.
-fn thread_sweep(domain_bits: u32, iterations: usize) -> Vec<(usize, f64, usize)> {
-    let num_records = 1u64 << domain_bits;
-    let database =
-        Arc::new(Database::random(num_records, RECORD_BYTES, 0xd0_5eed).expect("valid geometry"));
-    let mut rng = StdRng::seed_from_u64(0x7472_6561);
-    let alpha = rng.gen_range(0..num_records);
-    let (key, _) = generate_keys(domain_bits, alpha, &mut rng).expect("valid parameters");
-    let share = QueryShare::new(1, key);
-    // A DPF share's selector has ~half the bits set, so selected bytes are
-    // approximated as half the database (exact enough for a GB/s label).
-    let scanned_bytes = (num_records as usize / 2) * RECORD_BYTES;
+/// Wave sizes the fused-wave series times, up to the CPU backend's wave
+/// width.
+const WAVE_SIZES: [usize; 5] = [1, 2, 4, 8, 16];
 
-    let mut results = Vec::new();
-    let mut reference: Option<Vec<u8>> = None;
-    for threads in [1usize, 2, 4] {
-        let config = CpuServerConfig {
-            eval_strategy: EvalStrategy::LevelByLevel,
-            scan_threads: threads,
-            scan_kernel: KernelChoice::Auto,
-        };
-        let mut server =
-            CpuPirServer::new(Arc::clone(&database), config).expect("valid configuration");
+/// Times one [`CpuPirServer`] pass per wave size in [`WAVE_SIZES`] over
+/// the bin's geometry, returning `(k, best pass seconds / k)`. Every
+/// pass's payloads are pinned byte-identical to one-selector passes.
+fn fused_wave(domain_bits: u32, iterations: usize) -> Vec<(usize, f64)> {
+    let num_records = 1usize << domain_bits;
+    let database = Arc::new(
+        Database::random(num_records as u64, RECORD_BYTES, 0xd0_5eed).expect("valid geometry"),
+    );
+    let mut server =
+        CpuPirServer::new(database, CpuServerConfig::baseline()).expect("valid configuration");
+    let mut rng = StdRng::seed_from_u64(0x7761_7665);
+    let max_wave = WAVE_SIZES[WAVE_SIZES.len() - 1];
+    let selectors: Vec<SelectorVector> = (0..max_wave)
+        .map(|_| (0..num_records).map(|_| rng.gen::<bool>()).collect())
+        .collect();
+    let singles: Vec<Vec<u8>> = selectors
+        .iter()
+        .map(|selector| {
+            let (mut payloads, _) = server.execute_wave(&[selector]).expect("scan succeeds");
+            payloads.remove(0)
+        })
+        .collect();
+
+    let mut results = Vec::with_capacity(WAVE_SIZES.len());
+    for k in WAVE_SIZES {
+        let wave: Vec<&SelectorVector> = selectors[..k].iter().collect();
         let mut best = f64::INFINITY;
-        let mut payload = Vec::new();
         for _ in 0..iterations {
-            let (response, phases) = server.process_query(&share).expect("query succeeds");
-            best = best.min(phases.dpxor.wall_seconds);
-            payload = response.payload;
+            let started = Instant::now();
+            let (payloads, _) = server.execute_wave(&wave).expect("scan succeeds");
+            best = best.min(started.elapsed().as_secs_f64());
+            assert_eq!(
+                payloads,
+                singles[..k],
+                "a {k}-query pass diverges from one-query passes"
+            );
         }
-        match &reference {
-            None => reference = Some(payload),
-            Some(expected) => assert_eq!(
-                &payload, expected,
-                "scan_threads={threads} response diverges from scan_threads=1"
-            ),
-        }
-        results.push((threads, best, scanned_bytes));
+        results.push((k, best / k as f64));
     }
     results
 }

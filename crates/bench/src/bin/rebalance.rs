@@ -84,7 +84,7 @@ impl Fleet {
     fn misdeclared_planner(&self) -> Result<ShardPlanner, PirError> {
         let mut pim = self.pim.capacity_profile(RECORD_BYTES)?;
         pim.scan_bandwidth_bytes_per_sec /= 10.0;
-        let cpu = self.cpu.capacity_profile()?;
+        let cpu = self.cpu.capacity_profile(RECORD_BYTES)?;
         let mut streaming = self.streaming.capacity_profile(RECORD_BYTES)?;
         streaming.scan_bandwidth_bytes_per_sec *= 400.0;
         ShardPlanner::new(vec![pim, cpu, streaming])

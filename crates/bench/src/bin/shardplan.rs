@@ -65,7 +65,7 @@ impl Fleet {
     fn planner(&self) -> Result<ShardPlanner, PirError> {
         ShardPlanner::new(vec![
             self.pim.capacity_profile(RECORD_BYTES)?,
-            self.cpu.capacity_profile()?,
+            self.cpu.capacity_profile(RECORD_BYTES)?,
             self.streaming.capacity_profile(RECORD_BYTES)?,
         ])
     }
@@ -172,12 +172,12 @@ fn main() {
             full_size_result = Some((uniform_seconds, planned_seconds));
             for timing in planned_engine.shard_timings() {
                 report.push_note(format!(
-                    "planned shard {} [{}..{}): predicted {:.6}s/query, actual {:.6}s over the batch",
+                    "planned shard {} [{}..{}): predicted {:.6}s/query, actual {:.6}s/query",
                     timing.shard,
                     timing.range.start,
                     timing.range.end,
                     timing.predicted_scan_seconds.unwrap_or(0.0),
-                    timing.actual_hybrid_seconds()
+                    timing.actual_seconds_per_query()
                 ));
             }
             if let Some(skew) = planned_engine.scan_skew() {

@@ -88,9 +88,9 @@ pub struct CapacityProfile {
     /// full-domain per query regardless of sharding, so this does not move
     /// shard boundaries; it is carried for end-to-end predictions.
     pub eval_leaves_per_sec: f64,
-    /// Number of scans one [`BatchExecutor::execute_wave`] call runs
-    /// concurrently (DPU cluster count for PIM, spare cores for CPU, 1 for
-    /// the streaming server).
+    /// Number of queries one [`BatchExecutor::execute_wave`] call serves
+    /// (DPU cluster count for PIM, the queries one pass over the replica
+    /// serves for CPU, 1 for the streaming server).
     pub wave_width: usize,
 }
 

@@ -3,14 +3,24 @@
 //! This backend performs exactly the same work as [`crate::server::pim`]
 //! but keeps the `dpXOR` scan on CPU threads, moving every database byte
 //! from DRAM through the cache hierarchy — the data-movement cost IM-PIR is
-//! designed to avoid. With `scan_threads = 1` it matches the paper's
-//! CPU-PIR baseline configuration ("a single CPU thread for each query,
-//! accelerated with AVX"); with more threads one query's scan fans
-//! record-range chunks out over real `std::thread::scope` workers (per-chunk
-//! accumulators XOR-merged at the end), an upper bound on what a
-//! processor-centric server can do. The scan itself runs whichever
-//! [`crate::dpxor::ScanKernel`] the config selects — by default the fastest
-//! one for this host ([`crate::dpxor::best_kernel`]).
+//! designed to avoid. It does not move those bytes once per query,
+//! though: a wave of up to [`PASS_SELECTORS`] queries is answered by **one
+//! pass** over the replica ([`dpxor::ScanKernel::xor_select_many`]), the
+//! host-thread counterpart of §3.4's batching over DPU clusters. The pass
+//! splits 64-record-aligned ranges over the wave's thread budget
+//! ([`CpuServerConfig::pass_threads`]); each thread keeps `k` partial
+//! accumulators, and the partials are XOR-reduced at the end. A pass too
+//! small to pay for thread spawns (`k` × replica bytes under 4 MiB) runs
+//! on the calling thread. A single query
+//! ([`PirServer::process_query`]) is a pass with `k = 1`, so there is one
+//! scan path. The scan runs whichever [`crate::dpxor::ScanKernel`] the
+//! config selects — by default the fastest one for this host
+//! ([`crate::dpxor::best_kernel`]).
+//!
+//! The paper's CPU-PIR baseline gives "a single CPU thread for each
+//! query, accelerated with AVX"; the `scan_threads = 1` configuration
+//! keeps that budget of one scan thread per core, but spends it on shared
+//! passes instead of one private scan per query.
 
 use std::sync::Arc;
 
@@ -18,21 +28,36 @@ use impir_dpf::{host_parallelism, EvalStrategy, SelectorVector};
 
 use crate::database::Database;
 use crate::dpxor;
-use crate::dpxor::KernelChoice;
+use crate::dpxor::{KernelChoice, ScanKernel};
 use crate::error::PirError;
 use crate::protocol::{QueryShare, ServerResponse};
 use crate::server::phases::{PhaseBreakdown, PhaseTime};
 use crate::server::{timed, PirServer};
+
+/// Most queries one pass over the replica serves — the CPU backend's wave
+/// width before the accumulator cap. Matches the server dispatcher's
+/// default `coalesce_limit`, so a full coalesced wave is one pass.
+pub const PASS_SELECTORS: usize = 16;
+
+/// Bytes of accumulators one scan thread may keep in a pass: the wave
+/// width is capped so that `k × record_size` fits a 1 MiB L2.
+pub const PASS_ACCUMULATOR_BYTES: usize = 1 << 20;
+
+/// A pass whose selectors × replica bytes is below this runs on the
+/// calling thread, where thread spawns cost more than they save: with one
+/// selector on a 2-vCPU host, a 2 MiB replica scanned in 47 µs inline and
+/// 93 µs over two threads, and at 4 MiB the two were level.
+const INLINE_PASS_BYTES: usize = 4 << 20;
 
 /// Configuration of a [`CpuPirServer`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CpuServerConfig {
     /// Strategy for expanding the DPF key over the database domain.
     pub eval_strategy: EvalStrategy,
-    /// Number of threads used for the `dpXOR` scan of one query
-    /// (1 = the paper's baseline configuration). With more than one, the
-    /// scan fans record-range chunks out over real `std::thread::scope`
-    /// workers and XOR-merges the per-chunk accumulators.
+    /// Scan threads per slot of the thread budget (1 = the paper's one
+    /// thread per query): a pass runs on the host's parallelism rounded
+    /// down to whole slots, at least one slot
+    /// ([`CpuServerConfig::pass_threads`]).
     pub scan_threads: usize,
     /// Which [`dpxor::ScanKernel`] the scan runs — [`KernelChoice::Auto`]
     /// self-benchmarks once per process ([`dpxor::best_kernel`]); the other
@@ -42,8 +67,8 @@ pub struct CpuServerConfig {
 }
 
 impl CpuServerConfig {
-    /// The paper's CPU-PIR baseline: single-threaded scan, level-by-level
-    /// evaluation, self-benchmarked scan kernel.
+    /// The paper's CPU-PIR baseline: one scan thread per core,
+    /// level-by-level evaluation, self-benchmarked scan kernel.
     #[must_use]
     pub fn baseline() -> Self {
         CpuServerConfig {
@@ -80,43 +105,54 @@ impl CpuServerConfig {
         crate::engine::validate_eval_strategy(&self.eval_strategy)
     }
 
-    /// Number of concurrent wave slots a server under this configuration
-    /// runs: each slot scans with `scan_threads` threads, so the slot count
-    /// shrinks as per-query parallelism grows, and total threads never
-    /// exceed the host's parallelism. The single definition backing both
-    /// [`crate::batch::BatchExecutor::wave_width`] and the declared
-    /// capacity profile, so the planner can never predict wave counts the
-    /// backend does not deliver.
-    ///
-    /// Based on [`host_parallelism`] (`std::thread::available_parallelism`):
-    /// how many scoped scan threads the host can actually run side by
-    /// side.
+    /// Threads one pass over the replica is split over: as many
+    /// `scan_threads`-thread slots as the host runs side by side
+    /// ([`host_parallelism`]), at least one.
     #[must_use]
-    pub fn wave_width(&self) -> usize {
-        (host_parallelism() / self.scan_threads.max(1)).max(1)
+    pub fn pass_threads(&self) -> usize {
+        let slot = self.scan_threads.max(1);
+        (host_parallelism() / slot).max(1) * slot
+    }
+
+    /// Queries one pass serves for records of `record_size` bytes:
+    /// [`PASS_SELECTORS`], capped so a scan thread's `k` accumulators fit
+    /// in [`PASS_ACCUMULATOR_BYTES`], at least 1. The single definition
+    /// backing both [`crate::batch::BatchExecutor::wave_width`] and the
+    /// declared capacity profile, so the planner can never predict wave
+    /// counts the backend does not deliver.
+    #[must_use]
+    pub fn wave_width(record_size: usize) -> usize {
+        (PASS_ACCUMULATOR_BYTES / record_size.max(1)).clamp(1, PASS_SELECTORS)
     }
 
     /// The **declared** [`crate::capacity::CapacityProfile`] of a CPU
-    /// server under this configuration: record capacity bounded only by
-    /// host memory, one wave slot scanning at `scan_threads` threads' worth
-    /// of the declared per-thread DRAM bandwidth
+    /// server under this configuration, for records of `record_size`
+    /// bytes: record capacity bounded only by host memory, and the pass's
+    /// threads' worth of the declared per-thread DRAM bandwidth
     /// ([`crate::capacity::HOST_SCAN_BANDWIDTH_PER_THREAD`] — refine with
-    /// [`crate::capacity::measure_scan_bandwidth`]), and the wave width the
-    /// backend itself reports ([`CpuServerConfig::wave_width`]).
+    /// [`crate::capacity::measure_scan_bandwidth`]) as the effective scan
+    /// bandwidth, shared by the [`CpuServerConfig::wave_width`] queries a
+    /// pass serves.
     ///
     /// # Errors
     ///
     /// Returns [`PirError::Config`] if the configuration is invalid.
-    pub fn capacity_profile(&self) -> Result<crate::capacity::CapacityProfile, PirError> {
+    pub fn capacity_profile(
+        &self,
+        record_size: usize,
+    ) -> Result<crate::capacity::CapacityProfile, PirError> {
         self.validate()?;
         let eval_threads = match self.eval_strategy {
             EvalStrategy::SubtreeParallel { threads } => threads,
             _ => 1,
         };
+        let width = Self::wave_width(record_size);
+        let pass_bandwidth =
+            self.pass_threads() as f64 * crate::capacity::HOST_SCAN_BANDWIDTH_PER_THREAD;
         crate::capacity::CapacityProfile::unbounded(
-            self.scan_threads as f64 * crate::capacity::HOST_SCAN_BANDWIDTH_PER_THREAD,
+            pass_bandwidth / width as f64,
             eval_threads as f64 * crate::capacity::HOST_EVAL_LEAVES_PER_SEC_PER_THREAD,
-            self.wave_width(),
+            width,
         )
     }
 }
@@ -197,66 +233,80 @@ impl CpuPirServer {
         Ok(())
     }
 
-    /// The `dpXOR` scan over the full database with `scan_threads` threads.
+    /// One `dpXOR` pass over the replica for every selector of a wave:
+    /// one payload per selector, one read of the database.
     ///
-    /// With one thread the configured kernel scans the whole replica in
-    /// place; with more, record-range chunks fan out over real
-    /// `std::thread::scope` workers (exactly like the engine's shard
-    /// fan-out) and the per-chunk accumulators are XOR-merged at the end —
-    /// XOR-linearity makes the split invisible in the result. Chunk
-    /// boundaries are rounded up to 64-record multiples so every worker's
-    /// selector slice is word-aligned (a pure sub-slice of the packed
-    /// selector words, no bit shifting).
-    fn scan(&self, selector: &SelectorVector) -> Vec<u8> {
+    /// Record ranges are rounded up to 64-record multiples, so every
+    /// thread's selector slices are word-aligned sub-slices of the packed
+    /// selector words. Each range runs on its own scoped thread (at most
+    /// [`CpuServerConfig::pass_threads`]), or inline when `k` × replica
+    /// bytes is under [`INLINE_PASS_BYTES`]; the per-range accumulators are
+    /// XOR-reduced at the end, and XOR-linearity makes the split invisible
+    /// in the result.
+    fn scan_pass(&self, selectors: &[&SelectorVector]) -> Vec<Vec<u8>> {
         let record_size = self.database.record_size();
         let num_records = self.database.num_records() as usize;
         let kernel = self.config.scan_kernel.resolve();
-        let threads = self.config.scan_threads.min(num_records.max(1));
-        if threads <= 1 {
-            let mut accumulator = vec![0u8; record_size];
-            self.scan_scratches.with(|acc_words| {
-                kernel.xor_select(
-                    self.database.as_bytes(),
-                    record_size,
-                    selector,
-                    &mut accumulator,
-                    acc_words,
-                );
-            });
-            return accumulator;
-        }
+        let threads = if selectors.len() * self.database.as_bytes().len() < INLINE_PASS_BYTES {
+            1
+        } else {
+            self.config.pass_threads().min(num_records.div_ceil(64))
+        };
         let per_thread = num_records.div_ceil(threads).next_multiple_of(64);
-        let partials: Vec<Vec<u8>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|thread| {
-                    scope.spawn(move || {
-                        let start = thread * per_thread;
-                        if start >= num_records {
-                            return vec![0u8; record_size];
-                        }
+        let mut partials: Vec<Vec<u8>> = if per_thread >= num_records {
+            vec![self.scan_range(kernel, selectors, 0, num_records)]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..num_records)
+                    .step_by(per_thread)
+                    .map(|start| {
                         let count = per_thread.min(num_records - start);
-                        let chunk = self.database.record_chunk(start as u64, count as u64);
-                        let chunk_selector = selector.slice(start, count);
-                        let mut accumulator = vec![0u8; record_size];
-                        self.scan_scratches.with(|acc_words| {
-                            kernel.xor_select(
-                                chunk,
-                                record_size,
-                                &chunk_selector,
-                                &mut accumulator,
-                                acc_words,
-                            );
-                        });
-                        accumulator
+                        scope.spawn(move || self.scan_range(kernel, selectors, start, count))
                     })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("scan worker panicked"))
-                .collect()
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|handle| handle.join().expect("scan worker panicked"))
+                    .collect()
+            })
+        };
+        let mut merged = partials.swap_remove(0);
+        for partial in &partials {
+            dpxor::xor_in_place(&mut merged, partial);
+        }
+        merged
+            .chunks_exact(record_size)
+            .map(<[u8]>::to_vec)
+            .collect()
+    }
+
+    /// Scans records `start..start + count` for every selector, returning
+    /// the `k` accumulators back to back.
+    fn scan_range(
+        &self,
+        kernel: &dyn ScanKernel,
+        selectors: &[&SelectorVector],
+        start: usize,
+        count: usize,
+    ) -> Vec<u8> {
+        let record_size = self.database.record_size();
+        let records = self.database.record_chunk(start as u64, count as u64);
+        let sliced: Vec<SelectorVector> = selectors
+            .iter()
+            .map(|selector| selector.slice(start, count))
+            .collect();
+        let range_selectors: Vec<&SelectorVector> = sliced.iter().collect();
+        let mut accumulators = vec![0u8; selectors.len() * record_size];
+        self.scan_scratches.with(|acc_words| {
+            kernel.xor_select_many(
+                records,
+                record_size,
+                &range_selectors,
+                &mut accumulators,
+                acc_words,
+            );
         });
-        dpxor::xor_reduce(&partials, record_size)
+        accumulators
     }
 }
 
@@ -284,8 +334,10 @@ impl PirServer for CpuPirServer {
         });
         let selector = selector?;
 
-        // Phase ➍ (on the CPU): selector-weighted XOR of the whole DB.
-        let (payload, dpxor_seconds) = timed(|| self.scan(&selector));
+        // Phase ➍ (on the CPU): selector-weighted XOR of the whole DB, as
+        // a pass with one selector.
+        let (mut payloads, dpxor_seconds) = timed(|| self.scan_pass(&[&selector]));
+        let payload = payloads.pop().expect("one payload per selector");
 
         let phases = PhaseBreakdown {
             eval: PhaseTime::host(eval_seconds),
@@ -302,10 +354,8 @@ impl PirServer for CpuPirServer {
         &mut self,
         shares: &[QueryShare],
     ) -> Result<crate::server::BatchOutcome, PirError> {
-        // The CPU baseline handles each query on its own worker thread
-        // (§5.1: "a single CPU thread for each query"); the generic
-        // pipeline reproduces that with its stage-1 worker fan-out, and
-        // stage 2 runs the scans.
+        // The generic pipeline evaluates on its stage-1 workers; stage 2
+        // scans each wave in one pass.
         crate::batch::process_batch(self, shares, &crate::batch::BatchConfig::default())
     }
 }
@@ -326,39 +376,26 @@ impl crate::batch::BatchExecutor for CpuPirServer {
         )
     }
 
+    /// Queries one pass over the replica serves
+    /// ([`CpuServerConfig::wave_width`]).
     fn wave_width(&self) -> usize {
-        // The baseline (§5.1, "a single CPU thread for each query") runs
-        // one query per core, while a fully multithreaded server — or the
-        // GPU comparator, which serialises queries on the device — runs
-        // one query at a time (see `CpuServerConfig::wave_width`).
-        self.config.wave_width()
+        CpuServerConfig::wave_width(self.database.record_size())
     }
 
+    /// One pass over the replica for the whole wave; the pass's wall time
+    /// is the wave's dpXOR phase, as one DPU launch is for a PIM wave.
     fn execute_wave(
         &mut self,
         selectors: &[&SelectorVector],
     ) -> Result<(Vec<Vec<u8>>, PhaseBreakdown), PirError> {
-        let mut phases = PhaseBreakdown::zero();
-        // One scoped thread per wave slot (the wave width caps this at the
-        // host's parallelism); each slot's scan is timed on its own thread
-        // and the per-query dpXOR costs are summed, as the baseline's cost
-        // model expects.
-        let server: &CpuPirServer = self;
-        let timings: Vec<(Vec<u8>, f64)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = selectors
-                .iter()
-                .map(|selector| scope.spawn(move || timed(|| server.scan(selector))))
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("scan worker panicked"))
-                .collect()
-        });
-        let mut payloads = Vec::with_capacity(selectors.len());
-        for (payload, dpxor_seconds) in timings {
-            phases.dpxor.merge(&PhaseTime::host(dpxor_seconds));
-            payloads.push(payload);
+        if selectors.is_empty() {
+            return Ok((Vec::new(), PhaseBreakdown::zero()));
         }
+        let (payloads, dpxor_seconds) = timed(|| self.scan_pass(selectors));
+        let phases = PhaseBreakdown {
+            dpxor: PhaseTime::host(dpxor_seconds),
+            ..PhaseBreakdown::zero()
+        };
         Ok((payloads, phases))
     }
 }
@@ -367,7 +404,7 @@ impl crate::capacity::ProfiledBackend for CpuPirServer {
     /// Host-parameter profile (see [`CpuServerConfig::capacity_profile`]).
     fn capacity_profile(&self) -> crate::capacity::CapacityProfile {
         self.config
-            .capacity_profile()
+            .capacity_profile(self.database.record_size())
             .expect("the server was constructed under this configuration")
     }
 }
@@ -489,38 +526,46 @@ mod tests {
 
     #[test]
     fn threaded_scans_are_byte_identical_to_single_threaded() {
-        // The acceptance pin: scan_threads > 1 must change nothing but
-        // speed. Odd record sizes included so the chunked path also covers
-        // the word+tail kernel route.
+        // The acceptance pin: splitting a pass over threads must change
+        // nothing but speed. Two selectors over a replica of over 2 MiB
+        // put the pass above INLINE_PASS_BYTES, so every scan_threads
+        // value splits it; odd record sizes included so the chunked path
+        // also covers the word+tail kernel route.
+        use crate::batch::BatchExecutor;
+        let num_records = 100_000;
         for record_size in [24usize, 33] {
-            let db = Arc::new(Database::random(1000, record_size, 21).unwrap());
-            let mut client = PirClient::new(1000, record_size, 8).unwrap();
-            let (q1, _) = client.generate_query(517).unwrap();
-            let reference = {
+            let db = Arc::new(Database::random(num_records as u64, record_size, 21).unwrap());
+            assert!(2 * db.as_bytes().len() > INLINE_PASS_BYTES);
+            let selectors: Vec<SelectorVector> = [3usize, 5]
+                .iter()
+                .map(|step| (0..num_records).map(|i| i % step == 1).collect())
+                .collect();
+            let reference: Vec<Vec<u8>> = selectors
+                .iter()
+                .map(|selector| {
+                    let mut accumulator = vec![0u8; record_size];
+                    dpxor::xor_select_scalar(
+                        db.as_bytes(),
+                        record_size,
+                        selector,
+                        &mut accumulator,
+                    );
+                    accumulator
+                })
+                .collect();
+            let wave: Vec<&SelectorVector> = selectors.iter().collect();
+            for scan_threads in [1usize, 2, 3, 4, 7] {
                 let mut server = CpuPirServer::new(
                     db.clone(),
                     CpuServerConfig {
-                        eval_strategy: EvalStrategy::LevelByLevel,
-                        scan_threads: 1,
-                        scan_kernel: KernelChoice::Auto,
-                    },
-                )
-                .unwrap();
-                server.process_query(&q1).unwrap().0
-            };
-            for scan_threads in [2usize, 3, 4, 7] {
-                let mut server = CpuPirServer::new(
-                    db.clone(),
-                    CpuServerConfig {
-                        eval_strategy: EvalStrategy::LevelByLevel,
                         scan_threads,
-                        scan_kernel: KernelChoice::Auto,
+                        ..CpuServerConfig::baseline()
                     },
                 )
                 .unwrap();
-                let (response, _) = server.process_query(&q1).unwrap();
+                let (payloads, _) = server.execute_wave(&wave).unwrap();
                 assert_eq!(
-                    response.payload, reference.payload,
+                    payloads, reference,
                     "scan_threads={scan_threads} record_size={record_size}"
                 );
             }
@@ -556,17 +601,36 @@ mod tests {
     }
 
     #[test]
-    fn wave_width_is_independent_of_the_rayon_shim() {
-        // scan_threads ≥ host parallelism collapses the wave to one slot;
-        // a single-thread scan frees every core for concurrent slots.
+    fn wave_width_is_the_pass_width_capped_by_the_accumulator_budget() {
+        assert_eq!(CpuServerConfig::wave_width(32), PASS_SELECTORS);
+        assert_eq!(CpuServerConfig::wave_width(32 * 1024), PASS_SELECTORS);
+        assert_eq!(CpuServerConfig::wave_width(128 * 1024), 8);
+        assert_eq!(CpuServerConfig::wave_width(PASS_ACCUMULATOR_BYTES * 2), 1);
+        // The pass takes the thread budget the per-query wave slots had:
+        // whole `scan_threads` slots of the host's parallelism.
         let threads = impir_dpf::host_parallelism();
-        let config = CpuServerConfig {
-            eval_strategy: EvalStrategy::LevelByLevel,
-            scan_threads: threads,
-            scan_kernel: KernelChoice::Auto,
+        assert_eq!(CpuServerConfig::baseline().pass_threads(), threads);
+        assert_eq!(CpuServerConfig::multithreaded().pass_threads(), threads);
+        let oversubscribed = CpuServerConfig {
+            scan_threads: threads + 1,
+            ..CpuServerConfig::baseline()
         };
-        assert_eq!(config.wave_width(), 1);
-        assert_eq!(CpuServerConfig::baseline().wave_width(), threads);
+        assert_eq!(oversubscribed.pass_threads(), threads + 1);
+    }
+
+    #[test]
+    fn declared_profile_keeps_the_effective_bandwidth_of_one_slot_per_core() {
+        use crate::capacity::HOST_SCAN_BANDWIDTH_PER_THREAD;
+        let threads = impir_dpf::host_parallelism() as f64;
+        for record_size in [32usize, 40, 32 * 1024, 256 * 1024] {
+            let profile = CpuServerConfig::baseline()
+                .capacity_profile(record_size)
+                .unwrap();
+            assert_eq!(profile.wave_width, CpuServerConfig::wave_width(record_size));
+            let effective = profile.effective_scan_bandwidth();
+            let expected = threads * HOST_SCAN_BANDWIDTH_PER_THREAD;
+            assert!((effective - expected).abs() <= expected * 1e-12);
+        }
     }
 
     #[test]

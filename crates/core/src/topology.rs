@@ -607,7 +607,7 @@ impl FleetTopology {
                         QueryEngine::sharded(&sharded, engine_config, factory)
                     }
                     _ => {
-                        let profile = cpu_config.capacity_profile()?;
+                        let profile = cpu_config.capacity_profile(record_bytes)?;
                         let planner = autoshard_planner(profile, records, sharding, || {
                             let probe_db = Arc::new(Database::random(
                                 records.min(PROBE_RECORDS),

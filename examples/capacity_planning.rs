@@ -68,7 +68,7 @@ fn main() -> Result<(), PirError> {
     // simulator's cost model; capacity comes from per-cluster MRAM.
     let mut planner = ShardPlanner::new(vec![
         pim_config.capacity_profile(32)?,
-        cpu_config.capacity_profile()?,
+        cpu_config.capacity_profile(32)?,
         streaming_config.capacity_profile(32)?,
     ])?;
     println!("declared profiles:");

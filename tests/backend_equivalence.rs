@@ -262,6 +262,110 @@ fn updated_sharded_streaming_engines_match_fresh_engines() {
     });
 }
 
+/// The CPU backend answers a wave of queries with one pass over its
+/// replica. Batches below, at and above its wave width (16), and spanning
+/// several waves, must answer byte-identically to the same engine taking
+/// one query at a time, and to a scalar-kernel server over the whole
+/// database — on 1-, 2- and 3-shard layouts and a planned one, before and
+/// after an update. Small batches scan inline and large ones split the
+/// pass over threads (the split starts at 4 MiB of selectors × shard
+/// bytes); the 4099-byte records are not a multiple of the kernel's word
+/// or tile sizes.
+#[test]
+fn cpu_wave_passes_match_one_query_at_a_time() {
+    use im_pir::core::capacity::ShardPlanner;
+
+    let num_records: u64 = 300;
+    let record_size = 4099;
+    let db = Arc::new(Database::random(num_records, record_size, 71).unwrap());
+    let updates: Vec<(u64, Vec<u8>)> = [0u64, 99, 100, 150, 200, num_records - 1]
+        .iter()
+        .enumerate()
+        .map(|(i, &index)| (index, vec![0xC0 | i as u8; record_size]))
+        .collect();
+    let mut updated = (*db).clone();
+    for (index, bytes) in &updates {
+        updated.set_record(*index, bytes).unwrap();
+    }
+    let updated = Arc::new(updated);
+
+    let mut client = PirClient::new(num_records, record_size, 23).unwrap();
+    let indices: Vec<u64> = (0..40).map(|i| (i * 263 + 17) % num_records).collect();
+    let (shares, _) = client.generate_batch(&indices).unwrap();
+
+    let cpu = |shard_db: Arc<Database>, _| CpuPirServer::new(shard_db, CpuServerConfig::baseline());
+    let profile = CpuServerConfig::baseline()
+        .capacity_profile(record_size)
+        .unwrap();
+    let mut fast = profile;
+    fast.scan_bandwidth_bytes_per_sec *= 3.0;
+    let planner = ShardPlanner::new(vec![profile, fast, profile]).unwrap();
+    let mut engines = Vec::new();
+    for shards in 1..=3 {
+        let sharded = ShardedDatabase::uniform(db.clone(), shards).unwrap();
+        let engine = QueryEngine::sharded(&sharded, EngineConfig::default(), cpu).unwrap();
+        engines.push((format!("{shards} shard(s)"), engine));
+    }
+    let planned = QueryEngine::planned(db.clone(), EngineConfig::default(), &planner, cpu).unwrap();
+    assert_ne!(
+        planned.plan(),
+        &ShardPlan::uniform(num_records, 3).unwrap(),
+        "the planned layout must not be uniform"
+    );
+    engines.push(("planned".to_string(), planned));
+
+    assert_waves_match("pre-update", &db, &shares, &mut engines);
+    for (_, engine) in &mut engines {
+        engine.apply_updates(&updates).unwrap();
+    }
+    assert_waves_match("post-update", &updated, &shares, &mut engines);
+}
+
+/// Every engine answers `shares` one at a time like a scalar-kernel server
+/// over `db`, and batches of 1, 2, 15, 16, 17 and 40 like one at a time.
+fn assert_waves_match(
+    stage: &str,
+    db: &Arc<Database>,
+    shares: &[im_pir::core::QueryShare],
+    engines: &mut [(String, QueryEngine<CpuPirServer>)],
+) {
+    use im_pir::core::dpxor::KernelChoice;
+    use im_pir::core::server::PirServer;
+
+    let scalar = CpuServerConfig {
+        scan_kernel: KernelChoice::Scalar,
+        ..CpuServerConfig::baseline()
+    };
+    let mut oracle = CpuPirServer::new(db.clone(), scalar).unwrap();
+    let expected: Vec<Vec<u8>> = shares
+        .iter()
+        .map(|share| oracle.process_query(share).unwrap().0.payload)
+        .collect();
+    for (layout, engine) in engines {
+        let singles: Vec<Vec<u8>> = shares
+            .iter()
+            .map(|share| {
+                let out = engine.execute_batch(std::slice::from_ref(share)).unwrap();
+                out.responses[0].payload.clone()
+            })
+            .collect();
+        assert_eq!(
+            singles, expected,
+            "{stage} {layout}: one at a time vs oracle"
+        );
+        for batch in [1usize, 2, 15, 16, 17, 40] {
+            let out = engine.execute_batch(&shares[..batch]).unwrap();
+            assert_eq!(out.responses.len(), batch);
+            for (i, response) in out.responses.iter().enumerate() {
+                assert_eq!(
+                    response.payload, singles[i],
+                    "{stage} {layout} batch={batch} query {i}"
+                );
+            }
+        }
+    }
+}
+
 /// A capacity-planned layout is pure distribution policy: on a mixed
 /// PIM+CPU+streaming fleet (heterogeneous backends as boxed trait objects
 /// behind one engine), the planned engine must answer byte-identically to a
@@ -294,7 +398,7 @@ fn planned_layouts_match_uniform_layouts_pre_and_post_update() {
         };
     let planner = ShardPlanner::new(vec![
         pim_config.capacity_profile(record_size).unwrap(),
-        cpu_config.capacity_profile().unwrap(),
+        cpu_config.capacity_profile(record_size).unwrap(),
         streaming_config.capacity_profile(record_size).unwrap(),
     ])
     .unwrap();
