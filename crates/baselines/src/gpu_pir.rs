@@ -65,7 +65,6 @@ impl GpuPirBaseline {
         };
         let config = CpuServerConfig {
             eval_strategy,
-            scan_threads: impir_dpf::host_parallelism(),
             scan_kernel: impir_core::dpxor::KernelChoice::Auto,
         };
         // The GPU serialises key evaluation on the device; a single

@@ -27,7 +27,10 @@
 //!   4, 8, 16} queries: the pass reads the database once for the whole
 //!   wave, so the per-query cost falls as `k` grows; on a ≥2^18 domain a
 //!   16-query wave must cost less per query than a 1-query pass or the
-//!   bin exits with code 2.
+//!   bin exits with code 2. The pass is split over one thread per core,
+//!   so on a ≥2^18 domain and a host with ≥4 threads the 1-query pass
+//!   must also beat the dispatched kernel's single-thread scan of the
+//!   same geometry (exit 2 otherwise).
 //! * **roofline** — a streaming XOR-fold probe measures the host's actual
 //!   read bandwidth (single-thread and all-threads); the measured scan
 //!   throughputs are reported as fractions of that ceiling via
@@ -206,6 +209,13 @@ fn main() {
         probe.threads,
         working_set
     ));
+    let single_thread = shootout[shootout.len() - 1].1;
+    let one_query_pass = waves[0].1;
+    report.push_note(format!(
+        "1-query CpuPirServer pass on {} threads: {one_query_pass:.6}s; dispatched kernel \
+         on one thread: {single_thread:.6}s",
+        host_parallelism()
+    ));
     report.push_note(format!(
         "roofline: dpXOR is memory-bound on this host (ridge point {:.2} op/B vs dpXOR \
          intensity {:.3} op/B), so the ratio is throughput / measured bandwidth",
@@ -250,6 +260,23 @@ fn main() {
         eprintln!(
             "warning: a {largest}-query fused wave is not cheaper per query than a \
              1-query pass ({full:.6}s vs {one:.6}s)"
+        );
+    }
+    // Splitting a pass over threads needs threads to split over: only
+    // gated where the host exposes at least 4 hardware threads.
+    if host_parallelism() >= 4 {
+        if one_query_pass >= single_thread {
+            regressed = true;
+            eprintln!(
+                "warning: a 1-query pass on {} threads is not faster than the \
+                 dispatched kernel on one thread ({one_query_pass:.6}s vs {single_thread:.6}s)",
+                host_parallelism()
+            );
+        }
+    } else {
+        println!(
+            "[thread-scaling criterion skipped: host exposes {} hardware thread(s)]",
+            host_parallelism()
         );
     }
     if enforce && regressed {

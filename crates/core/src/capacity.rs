@@ -252,6 +252,12 @@ impl<S: ProfiledBackend + ?Sized> ProfiledBackend for Box<S> {
 /// (simulated hardware time for PIM phases, wall time for host phases) so
 /// the measurement is meaningful for simulated backends too.
 ///
+/// The figure is the per-slot rate only for backends whose wave slots each
+/// stream the whole record space (PIM clusters, the streaming server). The
+/// CPU backend answers a wave with one fused pass, so for it the result is
+/// the pass's bytes per second, not the per-slot figure its declared
+/// profile carries.
+///
 /// The probe backend does not have to hold the production database — a
 /// small replica of the same record size gives a representative per-byte
 /// rate (fixed per-scan latencies then weigh heavier, which makes the
@@ -280,8 +286,12 @@ pub fn measure_scan_bandwidth<B: BatchExecutor + ?Sized>(
         let (_, phases) = backend.execute_wave(&wave)?;
         best = best.min(phases.total_hybrid_seconds());
     }
-    // Each of the `width` slots streamed the whole record space during the
-    // wave; the per-slot rate is one slot's bytes over the wave's time.
+    // The record space's bytes over the wave's time. Where each of the
+    // `width` slots streams the whole record space (PIM clusters, the
+    // streaming server), that is the per-slot rate. The CPU backend serves
+    // the whole wave from one fused pass, so for it this is the pass's
+    // rate, larger than its declared per-slot rate (pass bandwidth /
+    // width) by about width x (1-query pass time / width-query pass time).
     let bytes = records as f64 * record_size as f64;
     Ok(bytes / best.max(1e-12))
 }

@@ -215,7 +215,7 @@ impl ScanKernel for UnrolledKernel {
         }
     }
 
-    /// One pass for all `k` selectors (see [`scan_fused`]); a lone
+    /// One pass for all `k` selectors (the fused pass, `scan_fused`); a lone
     /// selector takes the single scan.
     fn xor_select_many(
         &self,

@@ -7,20 +7,19 @@
 //! though: a wave of up to [`PASS_SELECTORS`] queries is answered by **one
 //! pass** over the replica ([`dpxor::ScanKernel::xor_select_many`]), the
 //! host-thread counterpart of §3.4's batching over DPU clusters. The pass
-//! splits 64-record-aligned ranges over the wave's thread budget
-//! ([`CpuServerConfig::pass_threads`]); each thread keeps `k` partial
-//! accumulators, and the partials are XOR-reduced at the end. A pass too
-//! small to pay for thread spawns (`k` × replica bytes under 4 MiB) runs
-//! on the calling thread. A single query
+//! splits 64-record-aligned ranges over one thread per core
+//! ([`host_parallelism`]); each thread keeps `k` partial accumulators, and
+//! the partials are XOR-reduced at the end. A pass too small to pay for
+//! thread spawns runs on the calling thread. A single query
 //! ([`PirServer::process_query`]) is a pass with `k = 1`, so there is one
 //! scan path. The scan runs whichever [`crate::dpxor::ScanKernel`] the
 //! config selects — by default the fastest one for this host
 //! ([`crate::dpxor::best_kernel`]).
 //!
 //! The paper's CPU-PIR baseline gives "a single CPU thread for each
-//! query, accelerated with AVX"; the `scan_threads = 1` configuration
-//! keeps that budget of one scan thread per core, but spends it on shared
-//! passes instead of one private scan per query.
+//! query, accelerated with AVX"; this backend keeps that budget of one
+//! scan thread per core, but spends it on shared passes instead of one
+//! private scan per query.
 
 use std::sync::Arc;
 
@@ -44,21 +43,28 @@ pub const PASS_SELECTORS: usize = 16;
 pub const PASS_ACCUMULATOR_BYTES: usize = 1 << 20;
 
 /// A pass whose selectors × replica bytes is below this runs on the
-/// calling thread, where thread spawns cost more than they save: with one
-/// selector on a 2-vCPU host, a 2 MiB replica scanned in 47 µs inline and
-/// 93 µs over two threads, and at 4 MiB the two were level.
-const INLINE_PASS_BYTES: usize = 4 << 20;
+/// calling thread, where thread spawns cost more than they save.
+///
+/// The product, not the replica alone, is what predicts a pass's cost:
+/// for records held in registers (≤ 64 B) a 16-selector pass costs
+/// 8–25× a 1-selector pass over the same replica, because each
+/// accumulator takes its own records. Inline against two threads on a
+/// 2-vCPU host, 0.25–8 MiB replicas, k ∈ {1, 4, 16}, 32 B, 40 B and
+/// 32 KiB records: at 2 MiB of selectors × bytes inline won (32 B,
+/// k = 1: 74 µs vs 104 µs), at 4 MiB the two were level or inline won
+/// (32 B, k = 16 over 256 KiB: 117 µs vs 177 µs), and from 8 MiB two
+/// threads won (40 B, k = 16 over 512 KiB: 333 µs vs 272 µs). Passes over
+/// 32 KiB records grow more slowly with `k` (k = 16 costs 4–6× k = 1), so
+/// for them the rule spawns a little early. In runs where the host's
+/// second vCPU did no parallel work (two threads of a pure compute loop
+/// ran no faster than one), two threads lost at every size measured.
+const INLINE_PASS_BYTES: usize = 8 << 20;
 
 /// Configuration of a [`CpuPirServer`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CpuServerConfig {
     /// Strategy for expanding the DPF key over the database domain.
     pub eval_strategy: EvalStrategy,
-    /// Scan threads per slot of the thread budget (1 = the paper's one
-    /// thread per query): a pass runs on the host's parallelism rounded
-    /// down to whole slots, at least one slot
-    /// ([`CpuServerConfig::pass_threads`]).
-    pub scan_threads: usize,
     /// Which [`dpxor::ScanKernel`] the scan runs — [`KernelChoice::Auto`]
     /// self-benchmarks once per process ([`dpxor::best_kernel`]); the other
     /// variants force a specific kernel (A/B runs, oracle comparisons).
@@ -73,19 +79,18 @@ impl CpuServerConfig {
     pub fn baseline() -> Self {
         CpuServerConfig {
             eval_strategy: EvalStrategy::LevelByLevel,
-            scan_threads: 1,
             scan_kernel: KernelChoice::Auto,
         }
     }
 
-    /// A multi-threaded CPU server using all available cores for both
-    /// evaluation and scanning.
+    /// A CPU server that also evaluates on all available cores (the scan
+    /// always does).
     #[must_use]
     pub fn multithreaded() -> Self {
-        let threads = host_parallelism();
         CpuServerConfig {
-            eval_strategy: EvalStrategy::SubtreeParallel { threads },
-            scan_threads: threads,
+            eval_strategy: EvalStrategy::SubtreeParallel {
+                threads: host_parallelism(),
+            },
             scan_kernel: KernelChoice::Auto,
         }
     }
@@ -94,24 +99,10 @@ impl CpuServerConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`PirError::Config`] if `scan_threads` is zero or the
-    /// evaluation strategy is degenerate (zero subtree-parallel threads).
+    /// Returns [`PirError::Config`] if the evaluation strategy is
+    /// degenerate (zero subtree-parallel threads).
     pub fn validate(&self) -> Result<(), PirError> {
-        if self.scan_threads == 0 {
-            return Err(PirError::Config {
-                reason: "scan_threads must be at least 1".to_string(),
-            });
-        }
         crate::engine::validate_eval_strategy(&self.eval_strategy)
-    }
-
-    /// Threads one pass over the replica is split over: as many
-    /// `scan_threads`-thread slots as the host runs side by side
-    /// ([`host_parallelism`]), at least one.
-    #[must_use]
-    pub fn pass_threads(&self) -> usize {
-        let slot = self.scan_threads.max(1);
-        (host_parallelism() / slot).max(1) * slot
     }
 
     /// Queries one pass serves for records of `record_size` bytes:
@@ -127,8 +118,8 @@ impl CpuServerConfig {
 
     /// The **declared** [`crate::capacity::CapacityProfile`] of a CPU
     /// server under this configuration, for records of `record_size`
-    /// bytes: record capacity bounded only by host memory, and the pass's
-    /// threads' worth of the declared per-thread DRAM bandwidth
+    /// bytes: record capacity bounded only by host memory, and one thread
+    /// per core's worth of the declared per-thread DRAM bandwidth
     /// ([`crate::capacity::HOST_SCAN_BANDWIDTH_PER_THREAD`] — refine with
     /// [`crate::capacity::measure_scan_bandwidth`]) as the effective scan
     /// bandwidth, shared by the [`CpuServerConfig::wave_width`] queries a
@@ -148,7 +139,7 @@ impl CpuServerConfig {
         };
         let width = Self::wave_width(record_size);
         let pass_bandwidth =
-            self.pass_threads() as f64 * crate::capacity::HOST_SCAN_BANDWIDTH_PER_THREAD;
+            host_parallelism() as f64 * crate::capacity::HOST_SCAN_BANDWIDTH_PER_THREAD;
         crate::capacity::CapacityProfile::unbounded(
             pass_bandwidth / width as f64,
             eval_threads as f64 * crate::capacity::HOST_EVAL_LEAVES_PER_SEC_PER_THREAD,
@@ -239,7 +230,7 @@ impl CpuPirServer {
     /// Record ranges are rounded up to 64-record multiples, so every
     /// thread's selector slices are word-aligned sub-slices of the packed
     /// selector words. Each range runs on its own scoped thread (at most
-    /// [`CpuServerConfig::pass_threads`]), or inline when `k` × replica
+    /// one per core, [`host_parallelism`]), or inline when `k` × replica
     /// bytes is under [`INLINE_PASS_BYTES`]; the per-range accumulators are
     /// XOR-reduced at the end, and XOR-linearity makes the split invisible
     /// in the result.
@@ -250,18 +241,26 @@ impl CpuPirServer {
         let threads = if selectors.len() * self.database.as_bytes().len() < INLINE_PASS_BYTES {
             1
         } else {
-            self.config.pass_threads().min(num_records.div_ceil(64))
+            host_parallelism().min(num_records.div_ceil(64))
         };
         let per_thread = num_records.div_ceil(threads).next_multiple_of(64);
         let mut partials: Vec<Vec<u8>> = if per_thread >= num_records {
-            vec![self.scan_range(kernel, selectors, 0, num_records)]
+            vec![self.scan_range(kernel, self.database.as_bytes(), selectors)]
         } else {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..num_records)
                     .step_by(per_thread)
                     .map(|start| {
                         let count = per_thread.min(num_records - start);
-                        scope.spawn(move || self.scan_range(kernel, selectors, start, count))
+                        scope.spawn(move || {
+                            let sliced: Vec<SelectorVector> = selectors
+                                .iter()
+                                .map(|selector| selector.slice(start, count))
+                                .collect();
+                            let range_selectors: Vec<&SelectorVector> = sliced.iter().collect();
+                            let records = self.database.record_chunk(start as u64, count as u64);
+                            self.scan_range(kernel, records, &range_selectors)
+                        })
                     })
                     .collect();
                 handles
@@ -280,28 +279,21 @@ impl CpuPirServer {
             .collect()
     }
 
-    /// Scans records `start..start + count` for every selector, returning
-    /// the `k` accumulators back to back.
+    /// Scans `records` for every selector (each covering exactly those
+    /// records), returning the `k` accumulators back to back.
     fn scan_range(
         &self,
         kernel: &dyn ScanKernel,
+        records: &[u8],
         selectors: &[&SelectorVector],
-        start: usize,
-        count: usize,
     ) -> Vec<u8> {
         let record_size = self.database.record_size();
-        let records = self.database.record_chunk(start as u64, count as u64);
-        let sliced: Vec<SelectorVector> = selectors
-            .iter()
-            .map(|selector| selector.slice(start, count))
-            .collect();
-        let range_selectors: Vec<&SelectorVector> = sliced.iter().collect();
         let mut accumulators = vec![0u8; selectors.len() * record_size];
         self.scan_scratches.with(|acc_words| {
             kernel.xor_select_many(
                 records,
                 record_size,
-                &range_selectors,
+                selectors,
                 &mut accumulators,
                 acc_words,
             );
@@ -527,16 +519,21 @@ mod tests {
     #[test]
     fn threaded_scans_are_byte_identical_to_single_threaded() {
         // The acceptance pin: splitting a pass over threads must change
-        // nothing but speed. Two selectors over a replica of over 2 MiB
-        // put the pass above INLINE_PASS_BYTES, so every scan_threads
-        // value splits it; odd record sizes included so the chunked path
-        // also covers the word+tail kernel route.
+        // nothing but speed. Four selectors over replicas of over 2 MiB put
+        // every pass above INLINE_PASS_BYTES; the record counts split
+        // unevenly over the threads (a 64-aligned count, one past it, one
+        // short of it, and 64 records short of a two-thread split), and odd
+        // record sizes also cover the word+tail kernel route.
         use crate::batch::BatchExecutor;
-        let num_records = 100_000;
-        for record_size in [24usize, 33] {
+        for (num_records, record_size) in [
+            (100_032usize, 24usize),
+            (100_033, 33),
+            (100_031, 40),
+            (131_008, 24),
+        ] {
             let db = Arc::new(Database::random(num_records as u64, record_size, 21).unwrap());
-            assert!(2 * db.as_bytes().len() > INLINE_PASS_BYTES);
-            let selectors: Vec<SelectorVector> = [3usize, 5]
+            assert!(4 * db.as_bytes().len() >= INLINE_PASS_BYTES);
+            let selectors: Vec<SelectorVector> = [2usize, 3, 5, 7]
                 .iter()
                 .map(|step| (0..num_records).map(|i| i % step == 1).collect())
                 .collect();
@@ -554,21 +551,12 @@ mod tests {
                 })
                 .collect();
             let wave: Vec<&SelectorVector> = selectors.iter().collect();
-            for scan_threads in [1usize, 2, 3, 4, 7] {
-                let mut server = CpuPirServer::new(
-                    db.clone(),
-                    CpuServerConfig {
-                        scan_threads,
-                        ..CpuServerConfig::baseline()
-                    },
-                )
-                .unwrap();
-                let (payloads, _) = server.execute_wave(&wave).unwrap();
-                assert_eq!(
-                    payloads, reference,
-                    "scan_threads={scan_threads} record_size={record_size}"
-                );
-            }
+            let mut server = CpuPirServer::new(db.clone(), CpuServerConfig::baseline()).unwrap();
+            let (payloads, _) = server.execute_wave(&wave).unwrap();
+            assert_eq!(
+                payloads, reference,
+                "num_records={num_records} record_size={record_size}"
+            );
         }
     }
 
@@ -588,7 +576,6 @@ mod tests {
                 db.clone(),
                 CpuServerConfig {
                     eval_strategy: EvalStrategy::LevelByLevel,
-                    scan_threads: 2,
                     scan_kernel,
                 },
             )
@@ -606,16 +593,6 @@ mod tests {
         assert_eq!(CpuServerConfig::wave_width(32 * 1024), PASS_SELECTORS);
         assert_eq!(CpuServerConfig::wave_width(128 * 1024), 8);
         assert_eq!(CpuServerConfig::wave_width(PASS_ACCUMULATOR_BYTES * 2), 1);
-        // The pass takes the thread budget the per-query wave slots had:
-        // whole `scan_threads` slots of the host's parallelism.
-        let threads = impir_dpf::host_parallelism();
-        assert_eq!(CpuServerConfig::baseline().pass_threads(), threads);
-        assert_eq!(CpuServerConfig::multithreaded().pass_threads(), threads);
-        let oversubscribed = CpuServerConfig {
-            scan_threads: threads + 1,
-            ..CpuServerConfig::baseline()
-        };
-        assert_eq!(oversubscribed.pass_threads(), threads + 1);
     }
 
     #[test]
@@ -638,24 +615,12 @@ mod tests {
         let db = Arc::new(Database::random(10, 8, 0).unwrap());
         let config = CpuServerConfig {
             eval_strategy: EvalStrategy::SubtreeParallel { threads: 0 },
-            scan_threads: 1,
             scan_kernel: KernelChoice::Auto,
         };
         assert!(matches!(
             CpuPirServer::new(db, config),
             Err(PirError::Config { .. })
         ));
-    }
-
-    #[test]
-    fn zero_scan_threads_is_rejected() {
-        let db = Arc::new(Database::random(10, 8, 0).unwrap());
-        let config = CpuServerConfig {
-            eval_strategy: EvalStrategy::LevelByLevel,
-            scan_threads: 0,
-            scan_kernel: KernelChoice::Auto,
-        };
-        assert!(CpuPirServer::new(db, config).is_err());
     }
 
     proptest! {
@@ -665,14 +630,12 @@ mod tests {
         fn prop_retrieval_is_correct_for_random_geometries(
             num_records in 2u64..600,
             record_words in 1usize..5,
-            scan_threads in 1usize..5,
             seed in any::<u64>(),
         ) {
             let record_size = record_words * 8;
             let db = Arc::new(Database::random(num_records, record_size, seed).unwrap());
             let config = CpuServerConfig {
                 eval_strategy: EvalStrategy::MemoryBounded { chunk_bits: 6 },
-                scan_threads,
                 scan_kernel: KernelChoice::Auto,
             };
             let mut s1 = CpuPirServer::new(db.clone(), config.clone()).unwrap();
